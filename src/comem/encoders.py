@@ -108,25 +108,34 @@ def _zeros_like_hidden(facts_data: np.ndarray, hidden: int) -> Tensor:
     return Tensor(np.zeros(lead + (hidden,), dtype=facts_data.dtype))
 
 
-def attention_gru_encode(facts: Tensor, gates: Tensor, p: GruParams) -> Tensor:
-    """Encode ``facts[(B,) L, D]`` with per-step gates replacing the update gate.
+def gru_input_projection(x: Tensor, p: GruParams) -> Tensor:
+    """``x @ [w_r | w_h] + [b_r | b_h]``: the fact encoder's input gemm for every step.
+
+    The update gate is external, so ``w_z`` / ``u_z`` are not projected.
+    """
+    return T.affine(x, T.concat([p.w_r, p.w_h], axis=-1), T.concat([p.b_r, p.b_h], axis=-1))
+
+
+def attention_gru_encode(facts: Tensor, gates: Tensor, p: GruParams, projected: bool = False) -> Tensor:
+    """Encode ``facts[..., L, D]`` with per-step gates replacing the update gate.
 
     ``h_j = g_j * h_cand_j + (1 - g_j) * h_{j-1}``, ``h_0 = 0``; returns the
-    final hidden state (the contextual vector).
+    final hidden state (the contextual vector).  With ``projected`` the
+    facts are already ``gru_input_projection`` outputs, shaped (..., L, 2H).
     """
-    if facts.data.ndim not in (2, 3):
-        raise DimensionError(f"attention_gru_encode: facts must be (L, D) or (B, L, D), got {facts.shape}")
+    if facts.data.ndim < 2:
+        raise DimensionError(f"attention_gru_encode: facts must be (..., L, D), got {facts.shape}")
     L = facts.data.shape[-2]
     if gates.data.shape != facts.data.shape[:-1]:
         raise DimensionError(f"attention_gru_encode: gates shape {gates.shape} vs facts {facts.shape}")
     if np.any(gates.data < 0) or np.any(gates.data > 1):
         raise DomainError("attention_gru_encode: gates must lie in [0, 1]")
     H = p.hidden_size
-    # project all steps through the input weights in one gemm; the update
-    # gate is external so w_z / u_z are unused here
-    proj = T.affine(facts, T.concat([p.w_r, p.w_h], axis=-1), T.concat([p.b_r, p.b_h], axis=-1))
+    if projected and facts.data.shape[-1] != 2 * H:
+        raise DimensionError(f"attention_gru_encode: projected facts {facts.shape} need width {2 * H}")
+    proj = facts if projected else gru_input_projection(facts, p)
     h = _zeros_like_hidden(facts.data, H)
-    batched = facts.data.ndim == 3
+    batched = facts.data.ndim >= 3
     for j in range(L):
         px = _slice_step(proj, j)
         g = _slice_step_gate(gates, j, batched)

@@ -12,7 +12,7 @@ from . import decoders as D
 from .decoders import DecoderParams, TaskKind
 from .encoders import GruParams, TokenEmbeddingTable, encode_token_batch
 from .errors import DomainError
-from .facts import ContextualFactSet, PyramidParams, build_contextual_facts
+from .facts import PyramidParams, build_contextual_facts
 from .memory import CoMemoryParams, fact_projections, run_episodes
 from .tensor import ParameterStore, Tensor
 
@@ -63,11 +63,6 @@ def tiny_model_config(task: str = "frame", vocab_size: int = 13, answer_vocab: i
         memory_dim=4,
         gate_dim=3,
     )
-
-
-def _tile_facts(F: ContextualFactSet, n: int) -> ContextualFactSet:
-    """Repeat every batch row ``n`` times (candidate folding)."""
-    return ContextualFactSet(levels=[T.repeat_rows(lv, n) for lv in F.levels], modality=F.modality)
 
 
 def pad_token_batch(seqs: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -122,23 +117,28 @@ class CoMemoryModel:
     def _fuse_candidate(self, q: Tensor, e: Tensor) -> Tensor:
         return T.tanh(T.affine(T.concat([q, e], axis=-1), self.fuse_w, self.fuse_b))
 
-    def _mc_scores(self, A, B, q: Tensor, cand_ids: np.ndarray, cand_mask: np.ndarray):
-        """Scores (B, K): candidates folded into the batch axis.
+    def _episodes(self, A, B, q: Tensor):
+        """Memory read-out and maps; ``q`` is (B, Q), or (B, K, Q) for K candidates.
 
-        Row ``b * K + k`` of the episode run holds item ``b`` conditioned on
-        candidate ``k``; the returned maps use that same row layout.
+        The facts stay untiled at (B, N, L, ·): their projections are made
+        once here and shared by every cycle and every candidate.
+        """
+        proj = fact_projections(A, B, self.comem)
+        return run_episodes(A, B, q, self.comem, self.config.cycles, facts_proj=proj)
+
+    def _mc_scores(self, A, B, q: Tensor, cand_ids: np.ndarray, cand_mask: np.ndarray):
+        """Scores (B, K) and maps (B, K, N, L): one question per candidate, facts untiled.
+
+        Candidate ``k`` of item ``b`` is fused with that item's question into
+        row ``(b, k)``; the memories carry that (B, K) layout and the facts
+        broadcast against it.
         """
         n_items, K = cand_ids.shape[:2]
-        proj = fact_projections(A, B, self.comem)  # shared by all candidates
         e = encode_token_batch(cand_ids.reshape(n_items * K, -1), cand_mask.reshape(n_items * K, -1),
                                self.embedding, self.q_gru1, self.q_gru2)
         q_all = self._fuse_candidate(T.repeat_rows(q, K), e)
-        A_t = _tile_facts(A, K)
-        B_t = _tile_facts(B, K)
-        proj_t = (T.repeat_rows(proj[0], K), T.repeat_rows(proj[1], K))
-        m_h, maps = run_episodes(A_t, B_t, q_all, self.comem, self.config.cycles, facts_proj=proj_t)
-        scores = T.reshape(D.score_choice(m_h, self.decoder), (n_items, K))
-        return scores, maps
+        m_h, maps = self._episodes(A, B, T.reshape(q_all, (n_items, K, q_all.data.shape[-1])))
+        return D.score_choice(m_h, self.decoder), maps
 
     # -- training forward ---------------------------------------------------
 
@@ -157,12 +157,12 @@ class CoMemoryModel:
             per_item = T.scale(T.tsum(margins, axis=-1) - 1.0, 1.0 / n_neg)
             preds = np.argmax(scores.data, axis=-1)
         elif task is TaskKind.REPETITION_COUNT:
-            m_h, _ = run_episodes(A, B, q, self.comem, self.config.cycles)
+            m_h, _ = self._episodes(A, B, q)
             r = D.count_regression(m_h, self.decoder)
             per_item = D.l2_count_loss(r, answers.astype(np.float64))
             preds = np.clip(np.floor(np.asarray(r.data, dtype=np.float64) + 0.5), D.COUNT_MIN, D.COUNT_MAX).astype(np.int64)
         else:
-            m_h, _ = run_episodes(A, B, q, self.comem, self.config.cycles)
+            m_h, _ = self._episodes(A, B, q)
             logits = D.word_logits(m_h, self.decoder)
             per_item = D.cross_entropy_loss(logits, answers)
             preds = np.argmax(logits.data, axis=-1)
@@ -178,7 +178,7 @@ class CoMemoryModel:
             if task.is_multiple_choice:
                 scores, _ = self._mc_scores(A, B, q, batch["cand_ids"], batch["cand_mask"])
                 return np.argmax(scores.data, axis=-1)
-            m_h, _ = run_episodes(A, B, q, self.comem, self.config.cycles)
+            m_h, _ = self._episodes(A, B, q)
             if task is TaskKind.REPETITION_COUNT:
                 return np.atleast_1d(D.predict_count(m_h, self.decoder))
             return np.atleast_1d(D.predict_word(m_h, self.decoder))
@@ -206,23 +206,23 @@ class CoMemoryModel:
                 cand_ids, cand_mask = pad_token_batch(list(candidates))
                 scores, maps = self._mc_scores(A, B, q, cand_ids[None], cand_mask[None])
                 pred = int(np.argmax(scores.data[0]))
-                row = pred  # maps rows follow the folded candidate layout
+                index = (0, pred)  # maps are (1, K, N, L): the predicted candidate's row
             else:
-                m_h, maps = run_episodes(A, B, q, self.comem, self.config.cycles)
-                row = 0
+                m_h, maps = self._episodes(A, B, q)
+                index = (0,)
                 if task is TaskKind.REPETITION_COUNT:
                     pred = int(D.predict_count(m_h, self.decoder)[0])
                 else:
                     pred = int(np.argmax(D.word_logits(m_h, self.decoder).data[0]))
         return {
             "prediction": pred,
-            "cycles": [self._export_maps_single(m, row) for m in maps],
+            "cycles": [self._export_maps_single(m, index) for m in maps],
         }
 
     @staticmethod
-    def _export_maps_single(maps, row: int = 0) -> dict:
+    def _export_maps_single(maps, index: tuple = (0,)) -> dict:
         def arr(t):
-            return np.asarray(t.data[row], dtype=np.float64).tolist()
+            return np.asarray(t.data[index], dtype=np.float64).tolist()
 
         return {
             "cycle": maps.cycle,

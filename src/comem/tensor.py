@@ -348,6 +348,30 @@ def affine(x: Tensor, W: Tensor, b: Optional[Tensor] = None) -> Tensor:
     return y
 
 
+def mix_levels(s: Tensor, x: Tensor) -> Tensor:
+    """Per-step level mix ``out[..., k, l, :] = sum_n s[..., k, n, l] x[..., n, l, :]``.
+
+    ``s``: (..., K, N, L) weights, ``x``: (..., N, L, D) levels shared by all
+    K rows -> (..., K, L, D).  Runs as one batched (K, N) @ (N, D) product per
+    step; the output is a step-major view of that product.
+    """
+    if s.data.ndim < 3 or x.data.ndim != s.data.ndim or s.data.shape[:-3] != x.data.shape[:-3] \
+            or s.data.shape[-2:] != x.data.shape[-3:-1]:
+        raise DimensionError(f"mix_levels: weights {s.shape} do not match levels {x.shape}")
+    s_t = np.moveaxis(s.data, -1, -3)  # (..., L, K, N)
+    x_t = np.moveaxis(x.data, -2, -3)  # (..., L, N, D)
+    data = np.moveaxis(s_t @ x_t, -3, -2)
+
+    def backward(g):
+        g_t = np.moveaxis(g, -2, -3)  # (..., L, K, D)
+        if x.requires_grad or x._parents:
+            _accumulate(x, np.moveaxis(np.swapaxes(s_t, -1, -2) @ g_t, -3, -2))
+        if s.requires_grad or s._parents:
+            _accumulate(s, np.moveaxis(g_t @ np.swapaxes(x_t, -1, -2), -3, -1))
+
+    return _make(data, (s, x), backward)
+
+
 def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
     """Embedding lookup: rows of ``table[V, E]`` selected by integer ``ids``."""
     ids = np.asarray(ids)

@@ -63,18 +63,20 @@ def adam_step(
     """Standard bias-corrected Adam over every parameter with a gradient.
 
     Parameters are visited in store insertion order, so accumulation and
-    updates are deterministic.
+    updates are deterministic.  The global gradient norm is computed once;
+    when it is not finite, ``NumericError`` is raised before any parameter,
+    moment buffer or step count changes.  ``grad_clip`` rescales to that norm.
     """
+    norm = np.sqrt(sum(float(np.vdot(p.grad, p.grad)) for _, p in params.items() if p.grad is not None))
+    if not np.isfinite(norm):
+        raise NumericError(f"adam_step: global gradient norm is {norm} before step {state.step + 1}")
     state.step += 1
     t = state.step
-    if grad_clip is not None:
-        sq = sum(float((p.grad ** 2).sum()) for _, p in params.items() if p.grad is not None)
-        norm = np.sqrt(sq)
-        if norm > grad_clip:
-            factor = grad_clip / norm
-            for _, p in params.items():
-                if p.grad is not None:
-                    p.grad *= factor
+    if grad_clip is not None and norm > grad_clip:
+        factor = grad_clip / norm
+        for _, p in params.items():
+            if p.grad is not None:
+                p.grad *= factor
     correction = np.sqrt(1.0 - beta2 ** t) / (1.0 - beta1 ** t)
     for name, p in params.items():
         g = p.grad
@@ -131,22 +133,42 @@ def load_checkpoint(path) -> tuple[CoMemoryModel, dict]:
         manifest = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as e:
         raise FormatError(f"{path}: unreadable checkpoint manifest ({e})")
-    if manifest.get("format") != "comem-checkpoint-v1":
-        raise FormatError(f"{path}: unknown checkpoint format {manifest.get('format')!r}")
-    blob = (path.parent / manifest["blob"]).read_bytes()
-    if len(blob) != manifest["total_bytes"]:
-        raise FormatError(f"{path}: blob has {len(blob)} bytes, manifest says {manifest['total_bytes']}")
-    model = CoMemoryModel(ModelConfig.from_dict(manifest["model_config"]), seed=0)
+    fmt = manifest.get("format") if isinstance(manifest, dict) else None
+    if fmt != "comem-checkpoint-v1":
+        raise FormatError(f"{path}: unknown checkpoint format {fmt!r}")
+    blob_path = path.parent / _field(manifest, "blob", path)
+    try:
+        blob = blob_path.read_bytes()
+    except OSError as e:
+        raise FormatError(f"{path}: unreadable checkpoint blob {blob_path} ({e})")
+    total = _field(manifest, "total_bytes", path)
+    if len(blob) != total:
+        raise FormatError(f"{path}: blob has {len(blob)} bytes, manifest says {total}")
+    try:
+        config = ModelConfig.from_dict(_field(manifest, "model_config", path))
+    except TypeError as e:
+        raise FormatError(f"{path}: bad model_config in checkpoint manifest ({e})")
+    model = CoMemoryModel(config, seed=0)
     values = {}
-    for entry in manifest["parameters"]:
-        shape = tuple(entry["shape"])
+    for entry in _field(manifest, "parameters", path):
+        name = _field(entry, "name", path)
+        shape = tuple(_field(entry, "shape", path))
+        nbytes = _field(entry, "nbytes", path)
         count = int(np.prod(shape)) if shape else 1
-        if entry["nbytes"] != count * 4:
-            raise FormatError(f"{path}: parameter {entry['name']!r} has {entry['nbytes']} bytes, expected {count * 4}")
-        start = entry["offset"]
-        values[entry["name"]] = np.frombuffer(blob[start : start + entry["nbytes"]], dtype="<f4").reshape(shape).copy()
+        if nbytes != count * 4:
+            raise FormatError(f"{path}: parameter {name!r} has {nbytes} bytes, expected {count * 4}")
+        start = _field(entry, "offset", path)
+        values[name] = np.frombuffer(blob[start : start + nbytes], dtype="<f4").reshape(shape).copy()
     model.store.load_values(values)
     return model, manifest
+
+
+def _field(record, key: str, path):
+    """``record[key]`` of a checkpoint manifest; a missing key is a ``FormatError``."""
+    try:
+        return record[key]
+    except (KeyError, TypeError):
+        raise FormatError(f"{path}: checkpoint manifest has no {key!r} field") from None
 
 
 # -- training ------------------------------------------------------------------

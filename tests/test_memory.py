@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import comem.memory as memory
 import comem.tensor as T
 from comem.errors import DimensionError, DomainError
 from comem.facts import ContextualFactSet
@@ -204,13 +205,22 @@ def test_ensemble_rejects_unnormalized_weights():
 # -- memory_cycle / run_episodes --------------------------------------------------------
 
 
-def test_zero_step_gates_reduce_update_to_memory_question():
+def test_zero_step_gates_reduce_update_to_memory_question(monkeypatch):
+    real_co_attention = memory.co_attention
+
+    def zero_step_gates(*args, **kwargs):
+        maps = real_co_attention(*args, **kwargs)
+        maps.sa_steps = Tensor(np.zeros_like(maps.sa_steps.data))
+        maps.sb_steps = Tensor(np.zeros_like(maps.sb_steps.data))
+        return maps
+
+    monkeypatch.setattr(memory, "co_attention", zero_step_gates)
     p, _, dims = _params(8)
     A = _facts(50, 2, 4, dims["fact_dim"], "appearance")
     B = _facts(51, 2, 4, dims["fact_dim"], "motion")
     q = _question(52, dims["question_dim"])
     m0 = init_memory(q, p)
-    m1, maps, c_a, c_b = memory_cycle(A, B, m0, q, p, force_zero_gates=True)
+    m1, maps, c_a, c_b = memory_cycle(A, B, m0, q, p)
     assert np.allclose(c_a.data, 0.0) and np.allclose(c_b.data, 0.0)
     concat = np.concatenate([m0.m_a.data, q.data, np.zeros(dims["context_dim"])])
     expected = np.maximum(concat @ p.upd_a_w.data + p.upd_a_b.data, 0.0)

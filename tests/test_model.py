@@ -1,0 +1,119 @@
+"""Multiple-choice forward: untiled facts against a per-candidate reference.
+
+The model runs all K candidates of an item over one copy of that item's
+facts, with the candidate axis carried only by the question and memories.
+The reference below runs ``run_episodes`` once per (item, candidate) on that
+item's facts alone, with that candidate's fused question.
+"""
+
+import numpy as np
+import pytest
+
+import comem.tensor as T
+from comem import decoders as D
+from comem.encoders import encode_token_batch
+from comem.memory import run_episodes
+from comem.model import CoMemoryModel, pad_token_batch, tiny_model_config
+from comem.tensor import Tensor
+
+ITEMS = 3
+
+
+def _rng(seed):
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+
+
+@pytest.fixture
+def case():
+    cfg = tiny_model_config("trans")
+    model = CoMemoryModel(cfg, seed=4, dtype=np.float64)
+    rng = _rng(40)
+    L = cfg.resolution
+    questions = [list(rng.integers(0, cfg.vocab_size, size=n)) for n in (4, 3, 5)]
+    candidates = [[list(rng.integers(0, cfg.vocab_size, size=1 + (b + k) % 3)) for k in range(D.NUM_CHOICES)]
+                  for b in range(ITEMS)]
+    q_ids, q_mask = pad_token_batch(questions)
+    cand_ids, cand_mask = pad_token_batch([c for item in candidates for c in item])
+    batch = {
+        "features_a": rng.standard_normal((ITEMS, L, cfg.input_width_a)),
+        "features_b": rng.standard_normal((ITEMS, L, cfg.input_width_b)),
+        "q_ids": q_ids, "q_mask": q_mask,
+        "cand_ids": cand_ids.reshape(ITEMS, D.NUM_CHOICES, -1),
+        "cand_mask": cand_mask.reshape(ITEMS, D.NUM_CHOICES, -1),
+    }
+    return model, batch, questions, candidates
+
+
+def _folded_scores(model, batch):
+    A, B = model._facts(batch["features_a"], batch["features_b"])
+    q = model._question(batch["q_ids"], batch["q_mask"])
+    return model._mc_scores(A, B, q, batch["cand_ids"], batch["cand_mask"])
+
+
+def _reference_run(model, batch, b, k):
+    """``run_episodes`` on item ``b``'s facts with candidate ``k``'s fused question."""
+    A, B = model._facts(batch["features_a"][b : b + 1], batch["features_b"][b : b + 1])
+    q = model._question(batch["q_ids"][b : b + 1], batch["q_mask"][b : b + 1])
+    e = encode_token_batch(batch["cand_ids"][b, k : k + 1], batch["cand_mask"][b, k : k + 1],
+                           model.embedding, model.q_gru1, model.q_gru2)
+    m_h, maps = run_episodes(A, B, model._fuse_candidate(q, e), model.comem, model.config.cycles)
+    return D.score_choice(m_h, model.decoder), maps
+
+
+def test_folded_scores_match_per_candidate_reference(case):
+    model, batch, _, _ = case
+    with T.no_grad():
+        scores, maps = _folded_scores(model, batch)
+        for b in range(ITEMS):
+            for k in range(D.NUM_CHOICES):
+                ref, ref_maps = _reference_run(model, batch, b, k)
+                assert abs(scores.data[b, k] - ref.data[0]) <= 1e-10
+                for got, want in zip(maps, ref_maps):
+                    assert np.abs(got.ga.data[b, k] - want.ga.data[0]).max() <= 1e-10
+                    assert np.abs(got.sb_steps.data[b, k] - want.sb_steps.data[0]).max() <= 1e-10
+    assert scores.data.shape == (ITEMS, D.NUM_CHOICES)
+    assert maps[0].sa_levels.data.shape == (ITEMS, D.NUM_CHOICES, model.config.levels, model.config.resolution)
+
+
+def test_folded_gradients_match_per_candidate_reference(case):
+    model, batch, _, _ = case
+    weights = _rng(41).standard_normal((ITEMS, D.NUM_CHOICES))
+    params = model.store.tensors()
+
+    def grads_of(loss):
+        model.store.zero_grad()
+        loss.backward()
+        return [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
+
+    scores, _ = _folded_scores(model, batch)
+    folded = grads_of(T.tsum(T.mul(scores, Tensor(weights))))
+    total = None
+    for b in range(ITEMS):
+        for k in range(D.NUM_CHOICES):
+            term = T.scale(_reference_run(model, batch, b, k)[0], weights[b, k])
+            total = term if total is None else total + term
+    reference = grads_of(T.tsum(total))
+    # one absolute tolerance for every tensor: a gradient that is exactly zero
+    # in exact arithmetic carries only rounding noise, which differs between
+    # the two evaluation orders
+    scale = max(np.abs(g).max() for g in reference)
+    worst = max(np.abs(f - r).max() for f, r in zip(folded, reference))
+    assert scale > 0 and worst <= 1e-10 * scale
+
+
+def test_inspect_maps_match_reference_for_predicted_candidate(case):
+    model, batch, questions, candidates = case
+    for b in range(ITEMS):
+        report = model.inspect(batch["features_a"][b], batch["features_b"][b], questions[b], candidates[b])
+        with T.no_grad():
+            ref_scores = [float(_reference_run(model, batch, b, k)[0].data[0]) for k in range(D.NUM_CHOICES)]
+            pred = int(np.argmax(ref_scores))
+            _, ref_maps = _reference_run(model, batch, b, pred)
+        assert report["prediction"] == pred
+        assert len(report["cycles"]) == len(ref_maps)
+        for exported, maps in zip(report["cycles"], ref_maps):
+            assert exported["cycle"] == maps.cycle
+            for mod, levels, steps in (("appearance", maps.sa_levels, maps.sa_steps),
+                                       ("motion", maps.sb_levels, maps.sb_steps)):
+                assert np.abs(np.asarray(exported[mod]["levels"]) - levels.data[0]).max() <= 1e-10
+                assert np.abs(np.asarray(exported[mod]["steps"]) - steps.data[0]).max() <= 1e-10

@@ -318,6 +318,8 @@ def test_primitive_gradients_match_finite_differences(seed):
     K = _param(rng.standard_normal((3, 3, 2)))
     Kd = _param(rng.standard_normal((3, 3, 3)))
     v = _param(rng.standard_normal(6))
+    s = _param(rng.uniform(0.0, 1.0, (2, 3, 2, 4)))  # (batch, K, N, L)
+    levels = _param(rng.standard_normal((2, 2, 4, 5)))  # (batch, N, L, D)
 
     cases = [
         (lambda: T.tsum(T.tanh(T.affine(x, W, b))), [x, W, b]),
@@ -334,11 +336,29 @@ def test_primitive_gradients_match_finite_differences(seed):
         (lambda: T.tsum(T.square(T.stack([v, v * -1.0], axis=0))), [v]),
         (lambda: T.tsum(T.square(T.tmean(x, axis=0))), [x]),
         (lambda: T.tsum(T.select_index(x, np.array([0, 2, 1, 0, 2]))), [x]),
+        (lambda: T.tsum(T.square(T.mix_levels(s, levels))), [s, levels]),
     ]
     for f, tensors in cases:
         for t in tensors:
             t.grad = None
         _op_gradcheck(f, tensors, tol=1e-4, seed=seed, max_coords=4)
+
+
+def test_mix_levels_matches_loop_oracle():
+    rng = _rng(7)
+    s = rng.uniform(0.0, 1.0, (2, 3, 4, 5))  # (batch, K, N, L)
+    x = rng.standard_normal((2, 4, 5, 6))  # (batch, N, L, D)
+    out = T.mix_levels(Tensor(s), Tensor(x)).data
+    assert out.shape == (2, 3, 5, 6)
+    for b in range(2):
+        for k in range(3):
+            for j in range(5):
+                expected = sum(s[b, k, n, j] * x[b, n, j] for n in range(4))
+                assert np.allclose(out[b, k, j], expected, atol=1e-12)
+    with pytest.raises(DimensionError):
+        T.mix_levels(Tensor(s), Tensor(x[:, :3]))
+    with pytest.raises(DimensionError):
+        T.mix_levels(Tensor(s[:1]), Tensor(x))
 
 
 def test_gather_rows_gradient_accumulates_repeats():

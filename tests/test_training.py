@@ -7,7 +7,7 @@ import pytest
 
 from comem.data import Dataset, SyntheticSpec, generate_dataset
 from comem.decoders import TaskKind
-from comem.errors import ConfigError, DomainError, FormatError
+from comem.errors import ConfigError, DomainError, FormatError, NumericError
 from comem.model import CoMemoryModel, ModelConfig
 from comem.tensor import ParameterStore
 from comem.training import (
@@ -85,6 +85,27 @@ def test_adam_global_norm_clip():
     assert np.allclose(p.grad, [0.6, 0.0, 0.8, 0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_adam_rejects_non_finite_gradient_norm_before_any_update(bad):
+    store = ParameterStore(seed=5, dtype=np.float64)
+    a = store.add("a", (3,))
+    b = store.add("b", (2,))
+    a.grad = np.array([0.1, -0.2, 0.3])
+    b.grad = np.array([0.5, bad])
+    state = AdamState(store)
+    state.m["a"][...] = 0.25
+    before = {name: (t.data.copy(), state.m[name].copy(), state.v[name].copy()) for name, t in store.items()}
+    for clip in (None, 1.0):
+        with pytest.raises(NumericError, match="gradient norm"):
+            adam_step(store, state, lr=0.1, grad_clip=clip)
+        assert state.step == 0
+        for name, t in store.items():
+            data, m, v = before[name]
+            assert np.array_equal(t.data, data)
+            assert np.array_equal(state.m[name], m) and np.array_equal(state.v[name], v)
+        assert np.array_equal(a.grad, [0.1, -0.2, 0.3])
+
+
 def test_adam_is_deterministic():
     results = []
     for _ in range(2):
@@ -143,6 +164,35 @@ def test_checkpoint_rejects_blob_size_mismatch(tmp_path):
     blob = path.with_name("c.ckpt.bin")
     blob.write_bytes(blob.read_bytes()[:-4])
     with pytest.raises(FormatError, match="bytes"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_missing_blob_is_format_error(tmp_path):
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, _tiny_model(), TrainConfig(task="frame"), 1, [])
+    path.with_name("c.ckpt.bin").unlink()
+    with pytest.raises(FormatError, match="blob"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["total_bytes", "blob", "parameters", "model_config"])
+def test_checkpoint_manifest_missing_key_is_format_error(tmp_path, key):
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, _tiny_model(), TrainConfig(task="frame"), 1, [])
+    manifest = json.loads(path.read_text())
+    del manifest[key]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match=key):
+        load_checkpoint(path)
+
+
+def test_checkpoint_parameter_entry_missing_key_is_format_error(tmp_path):
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, _tiny_model(), TrainConfig(task="frame"), 1, [])
+    manifest = json.loads(path.read_text())
+    del manifest["parameters"][3]["offset"]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match="offset"):
         load_checkpoint(path)
 
 
