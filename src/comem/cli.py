@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -35,13 +34,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("CMEM_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _echo_config(path, payload: dict):
@@ -107,8 +99,7 @@ def _cmd_train(args) -> int:
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _echo_config(str(out) + ".config.json", {"command": "train", "data": str(args.data),
-                                             "workers": _workers(), "config": cfg.__dict__})
+    _echo_config(str(out) + ".config.json", {"command": "train", "data": str(args.data), "config": cfg.__dict__})
 
     def log(entry):
         print(f"epoch {entry['epoch']}: train_loss={entry['train_loss']:.4f} "
@@ -174,8 +165,6 @@ def full_model_gradcheck(config: str = "tiny", seed: int = 0, max_coords: int = 
 
 def _cmd_gradcheck(args) -> int:
     err = full_model_gradcheck(config=args.config, seed=args.seed)
-    if os.environ.get("COMEM_TEST_CORRUPT_GRAD") == "1":  # test hook
-        err += 1.0
     _echo_config(f"gradcheck_{args.config}_{args.seed}.config.json",
                  {"command": "gradcheck", "config": args.config, "seed": args.seed})
     print(f"max relative error: {err:.3e}")

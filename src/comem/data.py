@@ -99,7 +99,10 @@ def write_feature_file(path, seq: FeatureSequence):
 
 
 def read_feature_file(path) -> FeatureSequence:
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as e:
+        raise FormatError(f"{path}: unreadable feature file ({e.strerror})") from None
     if len(raw) < 16:
         raise FormatError(f"{path}: truncated header ({len(raw)} bytes)")
     if raw[:4] != MAGIC:
@@ -171,18 +174,29 @@ def _validate_item(d: dict, lineno: int) -> QAItem:
 
 
 def load_qa_file(path) -> list[QAItem]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise FormatError(f"{path}: unreadable QA file ({e})") from None
     items = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                d = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise FormatError(f"line {lineno}: invalid JSON ({e.msg})")
-            items.append(_validate_item(d, lineno))
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            d = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise FormatError(f"line {lineno}: invalid JSON ({e.msg})")
+        items.append(_validate_item(d, lineno))
     return items
+
+
+def _read_json(path):
+    """A parsed JSON file; a missing, unreadable or malformed one is a ``FormatError``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as e:  # ValueError covers JSON and UTF-8 decoding
+        raise FormatError(f"{path}: unreadable JSON file ({e})") from None
 
 
 # -- synthetic generator -------------------------------------------------------
@@ -436,11 +450,8 @@ class Dataset:
     def __init__(self, root, task: TaskKind):
         self.root = Path(root)
         self.task = task
-        manifest_path = self.root / "manifest.json"
-        if not manifest_path.exists():
-            raise FormatError(f"{self.root}: missing manifest.json")
-        self.manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        self.vocab: dict[str, int] = json.loads((self.root / "vocab.json").read_text(encoding="utf-8"))
+        self.manifest = _read_json(self.root / "manifest.json")
+        self.vocab: dict[str, int] = _read_json(self.root / "vocab.json")
         self.items: dict[str, list[QAItem]] = {
             split: load_qa_file(self.root / "qa" / f"{task.value}_{split}.jsonl") for split in SPLITS
         }

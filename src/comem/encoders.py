@@ -9,7 +9,7 @@ per-step scalar gate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -20,34 +20,40 @@ from .tensor import ParameterStore, Tensor
 
 @dataclass
 class GruParams:
-    """Update / reset / candidate gate parameters for one GRU cell."""
+    """Reset / candidate parameters of one GRU cell, and its update gate's if it has one.
 
-    w_z: Tensor
-    u_z: Tensor
-    b_z: Tensor
+    The fact encoder's update gate is external (``attention_gru_encode``), so
+    its cells are created without ``w_z`` / ``u_z`` / ``b_z``.
+    """
+
     w_r: Tensor
     u_r: Tensor
     b_r: Tensor
     w_h: Tensor
     u_h: Tensor
     b_h: Tensor
+    w_z: Optional[Tensor] = None
+    u_z: Optional[Tensor] = None
+    b_z: Optional[Tensor] = None
 
     @property
     def hidden_size(self) -> int:
-        return self.w_z.data.shape[1]
+        return self.u_h.data.shape[1]
 
     @staticmethod
-    def create(store: ParameterStore, prefix: str, input_size: int, hidden_size: int) -> "GruParams":
+    def create(store: ParameterStore, prefix: str, input_size: int, hidden_size: int,
+               update_gate: bool = True) -> "GruParams":
         def mat(name, din):
             return store.add(f"{prefix}.{name}", (din, hidden_size))
 
         def bias(name):
             return store.add(f"{prefix}.{name}", (hidden_size,), init="zeros")
 
+        # z is drawn first, so a cell with an update gate keeps the z, r, h parameter order
+        z = dict(w_z=mat("w_z", input_size), u_z=mat("u_z", hidden_size), b_z=bias("b_z")) if update_gate else {}
         return GruParams(
-            w_z=mat("w_z", input_size), u_z=mat("u_z", hidden_size), b_z=bias("b_z"),
             w_r=mat("w_r", input_size), u_r=mat("u_r", hidden_size), b_r=bias("b_r"),
-            w_h=mat("w_h", input_size), u_h=mat("u_h", hidden_size), b_h=bias("b_h"),
+            w_h=mat("w_h", input_size), u_h=mat("u_h", hidden_size), b_h=bias("b_h"), **z,
         )
 
 
@@ -86,33 +92,8 @@ class TokenEmbeddingTable:
         return loaded
 
 
-def _candidate_and_update(x: Tensor, h_prev: Tensor, p: GruParams):
-    z = T.sigmoid(T.affine(x, p.w_z, p.b_z) + T.matmul(h_prev, p.u_z))
-    r = T.sigmoid(T.affine(x, p.w_r, p.b_r) + T.matmul(h_prev, p.u_r))
-    h_cand = T.tanh(T.affine(x, p.w_h, p.b_h) + T.matmul(T.mul(r, h_prev), p.u_h))
-    return z, h_cand
-
-
-def gru_step(x: Tensor, h_prev: Tensor, p: GruParams) -> Tensor:
-    """One standard GRU step: ``h = z * h_cand + (1 - z) * h_prev``."""
-    if x.data.shape[-1] != p.w_z.data.shape[0]:
-        raise DimensionError(f"gru_step: input shape {x.shape} vs W {p.w_z.shape}")
-    if h_prev.data.shape[-1] != p.hidden_size:
-        raise DimensionError(f"gru_step: hidden shape {h_prev.shape} vs H {p.hidden_size}")
-    z, h_cand = _candidate_and_update(x, h_prev, p)
-    return T.mul(z, h_cand) + T.mul(1.0 - z, h_prev)
-
-
-def _zeros_like_hidden(facts_data: np.ndarray, hidden: int) -> Tensor:
-    lead = facts_data.shape[:-2]
-    return Tensor(np.zeros(lead + (hidden,), dtype=facts_data.dtype))
-
-
 def gru_input_projection(x: Tensor, p: GruParams) -> Tensor:
-    """``x @ [w_r | w_h] + [b_r | b_h]``: the fact encoder's input gemm for every step.
-
-    The update gate is external, so ``w_z`` / ``u_z`` are not projected.
-    """
+    """``x @ [w_r | w_h] + [b_r | b_h]``: the fact encoder's input gemm for every step."""
     return T.affine(x, T.concat([p.w_r, p.w_h], axis=-1), T.concat([p.b_r, p.b_h], axis=-1))
 
 
@@ -125,7 +106,6 @@ def attention_gru_encode(facts: Tensor, gates: Tensor, p: GruParams, projected: 
     """
     if facts.data.ndim < 2:
         raise DimensionError(f"attention_gru_encode: facts must be (..., L, D), got {facts.shape}")
-    L = facts.data.shape[-2]
     if gates.data.shape != facts.data.shape[:-1]:
         raise DimensionError(f"attention_gru_encode: gates shape {gates.shape} vs facts {facts.shape}")
     if np.any(gates.data < 0) or np.any(gates.data > 1):
@@ -134,73 +114,18 @@ def attention_gru_encode(facts: Tensor, gates: Tensor, p: GruParams, projected: 
     if projected and facts.data.shape[-1] != 2 * H:
         raise DimensionError(f"attention_gru_encode: projected facts {facts.shape} need width {2 * H}")
     proj = facts if projected else gru_input_projection(facts, p)
-    h = _zeros_like_hidden(facts.data, H)
-    batched = facts.data.ndim >= 3
-    for j in range(L):
-        px = _slice_step(proj, j)
-        g = _slice_step_gate(gates, j, batched)
-        r = T.sigmoid(T.slice_last(px, 0, H) + T.matmul(h, p.u_r))
-        h_cand = T.tanh(T.slice_last(px, H, 2 * H) + T.matmul(T.mul(r, h), p.u_h))
-        h = T.mul(g, h_cand) + T.mul(1.0 - g, h)
-    return h
+    return T.last_step(T.gru_scan(proj, p.u_r, p.u_h, gate=gates))
 
 
-def _slice_step(facts: Tensor, j: int) -> Tensor:
-    data = facts.data[..., j, :]
+def _run_gru_layer(xs: Tensor, p: GruParams, mask: np.ndarray | None) -> Tensor:
+    """Every hidden state of a GRU over ``xs[(B,) T, D]``; steps where ``mask`` is 0 keep the state.
 
-    def backward(g):
-        if not (facts.requires_grad or facts._parents):
-            return
-        if facts.grad is None:
-            facts.grad = np.zeros_like(facts.data)
-        facts.grad[..., j, :] += g
-
-    return T._make(data, (facts,), backward)
-
-
-def _slice_step_gate(gates: Tensor, j: int, batched: bool) -> Tensor:
-    data = gates.data[..., j : j + 1] if batched else gates.data[j]
-
-    def backward(g):
-        if not (gates.requires_grad or gates._parents):
-            return
-        if gates.grad is None:
-            gates.grad = np.zeros_like(gates.data)
-        if batched:
-            gates.grad[..., j : j + 1] += g
-        else:
-            gates.grad[j] += g
-
-    return T._make(data, (gates,), backward)
-
-
-def _run_gru_layer(xs: Tensor, p: GruParams, mask: np.ndarray | None) -> tuple[list[Tensor], Tensor]:
-    """Run a GRU over ``xs[(B,) T, D]``; keeps hidden frozen where mask is 0.
-
-    Returns (per-step hidden states, final hidden state).  The mask freezes
-    padded steps so batched encoding matches per-item encoding exactly.
+    The mask freezes padded steps so batched encoding matches per-item
+    encoding exactly.
     """
-    steps = xs.data.shape[-2]
-    H = p.hidden_size
     proj = T.affine(xs, T.concat([p.w_z, p.w_r, p.w_h], axis=-1),
                     T.concat([p.b_z, p.b_r, p.b_h], axis=-1))
-    u_zr = T.concat([p.u_z, p.u_r], axis=-1)
-    h = _zeros_like_hidden(xs.data, H)
-    outputs = []
-    for j in range(steps):
-        px = _slice_step(proj, j)
-        hu = T.matmul(h, u_zr)
-        z = T.sigmoid(T.slice_last(px, 0, H) + T.slice_last(hu, 0, H))
-        r = T.sigmoid(T.slice_last(px, H, 2 * H) + T.slice_last(hu, H, 2 * H))
-        h_cand = T.tanh(T.slice_last(px, 2 * H, 3 * H) + T.matmul(T.mul(r, h), p.u_h))
-        h_new = T.mul(z, h_cand) + T.mul(1.0 - z, h)
-        if mask is not None:
-            m = mask[..., j : j + 1].astype(xs.data.dtype)
-            h = T.mul(Tensor(m), h_new) + T.mul(Tensor(1.0 - m), h)
-        else:
-            h = h_new
-        outputs.append(h)
-    return outputs, h
+    return T.gru_scan(proj, T.concat([p.u_z, p.u_r], axis=-1), p.u_h, mask=mask)
 
 
 def encode_token_batch(
@@ -212,10 +137,7 @@ def encode_token_batch(
 ) -> Tensor:
     """Two-layer GRU encoding of padded token ids ``(B, T)`` with 0/1 mask."""
     emb = T.gather_rows(table.table, ids)
-    out1, _ = _run_gru_layer(emb, layer1, mask)
-    xs2 = T.stack(out1, axis=-2)
-    _, h2 = _run_gru_layer(xs2, layer2, mask)
-    return h2
+    return T.last_step(_run_gru_layer(_run_gru_layer(emb, layer1, mask), layer2, mask))
 
 
 def _validate_tokens(tokens: Sequence[int], table: TokenEmbeddingTable):
@@ -239,12 +161,3 @@ def encode_question(
     h = encode_token_batch(ids, mask, table, layer1, layer2)
     return T.reshape(h, (h.data.shape[-1],))
 
-
-def encode_answer_candidate(
-    tokens: Sequence[int],
-    table: TokenEmbeddingTable,
-    layer1: GruParams,
-    layer2: GruParams,
-) -> Tensor:
-    """Candidate answers are encoded exactly like questions (shared weights)."""
-    return encode_question(tokens, table, layer1, layer2)

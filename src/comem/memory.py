@@ -45,9 +45,10 @@ class AttentionMaps:
     sb_steps: Tensor
     cycle: int = 0
 
-    def export(self) -> dict:
+    def export(self, index: tuple = ()) -> dict:
+        """Both normalizations as nested lists; ``index`` picks one row, e.g. ``(0, k)``."""
         def tolist(t: Tensor):
-            return np.asarray(t.data, dtype=np.float64).tolist()
+            return np.asarray(t.data[index], dtype=np.float64).tolist()
 
         return {
             "cycle": self.cycle,
@@ -113,8 +114,8 @@ class CoMemoryParams:
             upd_a_b=store.add(f"{prefix}.upd_a_b", (memory_dim,), init="zeros"),
             upd_b_w=store.add(f"{prefix}.upd_b_w", (upd_in, memory_dim)),
             upd_b_b=store.add(f"{prefix}.upd_b_b", (memory_dim,), init="zeros"),
-            gru_a=GruParams.create(store, f"{prefix}.gru_a", fact_dim, context_dim),
-            gru_b=GruParams.create(store, f"{prefix}.gru_b", fact_dim, context_dim),
+            gru_a=GruParams.create(store, f"{prefix}.gru_a", fact_dim, context_dim, update_gate=False),
+            gru_b=GruParams.create(store, f"{prefix}.gru_b", fact_dim, context_dim, update_gate=False),
         )
 
 

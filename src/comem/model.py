@@ -216,16 +216,5 @@ class CoMemoryModel:
                     pred = int(np.argmax(D.word_logits(m_h, self.decoder).data[0]))
         return {
             "prediction": pred,
-            "cycles": [self._export_maps_single(m, index) for m in maps],
-        }
-
-    @staticmethod
-    def _export_maps_single(maps, index: tuple = (0,)) -> dict:
-        def arr(t):
-            return np.asarray(t.data[index], dtype=np.float64).tolist()
-
-        return {
-            "cycle": maps.cycle,
-            "appearance": {"levels": arr(maps.sa_levels), "steps": arr(maps.sa_steps)},
-            "motion": {"levels": arr(maps.sb_levels), "steps": arr(maps.sb_steps)},
+            "cycles": [m.export(index) for m in maps],
         }

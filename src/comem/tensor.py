@@ -214,10 +214,14 @@ def relu(a: Tensor) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def sigmoid(a: Tensor) -> Tensor:
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp overflow for very negative inputs yields inf and a correct 0.0
     with np.errstate(over="ignore"):
-        data = 1.0 / (1.0 + np.exp(-a.data))
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    data = _sigmoid(a.data)
 
     def backward(g):
         _accumulate(a, g * data * (1.0 - data))
@@ -276,18 +280,14 @@ def repeat_rows(a: Tensor, n: int) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
-    """``a[..., start:stop]``; gradient adds in place into ``a.grad``."""
-    data = a.data[..., start:stop]
-
+def last_step(seq: Tensor) -> Tensor:
+    """``seq[..., -1, :]``: the final state of a (..., L, H) sequence."""
     def backward(g):
-        if not (a.requires_grad or a._parents):
-            return
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[..., start:stop] += g
+        full = np.zeros_like(seq.data)
+        full[..., -1, :] = g
+        _accumulate(seq, full)
 
-    return _make(data, (a,), backward)
+    return _make(seq.data[..., -1, :], (seq,), backward)
 
 
 def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
@@ -565,6 +565,98 @@ def maxpool1d(x: Tensor, window: int = 2, stride: int = 2) -> Tensor:
         _accumulate(x, gp)
 
     return _make(data, (x,), backward)
+
+
+# -- recurrence ----------------------------------------------------------------
+
+
+def gru_scan(proj: Tensor, u_gates: Tensor, u_h: Tensor, gate: Optional[Tensor] = None,
+             mask: Optional[np.ndarray] = None) -> Tensor:
+    """GRU recurrence over precomputed input projections; returns every state (..., L, H).
+
+    ``proj`` is each step's input projection: (..., L, 3H) as ``[z | r | h]``
+    with ``u_gates = [u_z | u_r]`` (H, 2H); or, with an external update
+    ``gate`` (..., L), (..., L, 2H) as ``[r | h]`` with ``u_gates = u_r``.
+    From ``h_0 = 0``, each step computes::
+
+        z = sigmoid(p_z + h u_z)  (or the gate)    r = sigmoid(p_r + h u_r)
+        c = tanh(p_h + (r * h) u_h)                h' = z * c + (1 - z) * h
+
+    ``mask`` (..., L) holds 0/1; ``h`` is kept unchanged where it is 0.  The
+    backward is one reverse loop; the ``u_gates`` and ``u_h`` gradients are
+    one gemm each over all steps.
+    """
+    H = u_h.data.shape[-1]
+    G = H if gate is not None else 2 * H
+    if u_h.data.shape != (H, H) or u_gates.data.shape != (H, G) or proj.data.ndim < 2 \
+            or proj.data.shape[-1] != G + H:
+        raise DimensionError(f"gru_scan: projections {proj.shape} do not match u_gates {u_gates.shape}, u_h {u_h.shape}")
+    steps_shape = proj.data.shape[:-1]
+    if gate is not None and gate.data.shape != steps_shape:
+        raise DimensionError(f"gru_scan: gate shape {gate.shape} vs projections {proj.shape}")
+    if mask is not None and np.shape(mask) != steps_shape:
+        raise DimensionError(f"gru_scan: mask shape {np.shape(mask)} vs projections {proj.shape}")
+    dtype, L, lead = proj.data.dtype, steps_shape[-1], steps_shape[:-1]
+
+    def mm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        # one 2-D gemm over the contiguous leading axes; a batched matmul would loop per matrix
+        return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + (w.shape[-1],))
+
+    # step j of proj, gate and mask is a view at axis -2 / -1; states are step-major
+    m = None if mask is None else np.asarray(mask, dtype=dtype)[..., None]
+    parents = (proj, u_gates, u_h) + (() if gate is None else (gate,))
+    record = _grad_enabled and any(p.requires_grad or p._parents for p in parents)
+    states = (L,) + lead + (H,)
+    hs = np.zeros((L + 1,) + states[1:], dtype=dtype)  # hs[j] is the state entering step j
+    if record:
+        rs, cs = np.empty(states, dtype=dtype), np.empty(states, dtype=dtype)
+        zs = np.empty(states, dtype=dtype) if gate is None else np.moveaxis(gate.data, -1, 0)[..., None]
+    for j in range(L):
+        h, px = hs[j], proj.data[..., j, :]
+        hu = mm(h, u_gates.data)
+        if gate is None:
+            z = _sigmoid(px[..., :H] + hu[..., :H])
+            r = _sigmoid(px[..., H:G] + hu[..., H:])
+        else:
+            z = gate.data[..., j : j + 1]
+            r = _sigmoid(px[..., :H] + hu)
+        c = np.tanh(px[..., G:] + mm(r * h, u_h.data))
+        h_new = z * c + (1.0 - z) * h
+        hs[j + 1] = h_new if m is None else m[..., j, :] * h_new + (1.0 - m[..., j, :]) * h
+        if record:
+            rs[j], cs[j] = r, c
+            if gate is None:
+                zs[j] = z
+    data = np.moveaxis(hs[1:], 0, -2)
+
+    def backward(g):
+        dproj = np.empty((L,) + lead + (G + H,), dtype=dtype)
+        dz_ext = None if gate is None else np.empty((L,) + lead + (1,), dtype=dtype)
+        dh = np.zeros(lead + (H,), dtype=dtype)
+        for j in reversed(range(L)):
+            dh = dh + g[..., j, :]
+            h, z, r, c = hs[j], zs[j], rs[j], cs[j]
+            d_new = dh if m is None else m[..., j, :] * dh
+            d_prev = d_new * (1.0 - z) if m is None else d_new * (1.0 - z) + (1.0 - m[..., j, :]) * dh
+            da_h = d_new * z * (1.0 - c * c)
+            d_rh = mm(da_h, u_h.data.T)
+            if gate is None:
+                dproj[j, ..., :H] = d_new * (c - h) * z * (1.0 - z)
+            else:
+                dz_ext[j] = (d_new * (c - h)).sum(axis=-1, keepdims=True)
+            dproj[j, ..., G - H : G] = d_rh * h * r * (1.0 - r)
+            dproj[j, ..., G:] = da_h
+            dh = d_prev + d_rh * r + mm(np.ascontiguousarray(dproj[j, ..., :G]), u_gates.data.T)
+        _accumulate(proj, np.moveaxis(dproj, 0, -2))
+        if gate is not None:
+            _accumulate(gate, np.moveaxis(dz_ext[..., 0], 0, -1))
+        h_prev = hs[:-1].reshape(-1, H)
+        if u_gates.requires_grad or u_gates._parents:
+            _accumulate(u_gates, h_prev.T @ dproj[..., :G].reshape(-1, G))
+        if u_h.requires_grad or u_h._parents:
+            _accumulate(u_h, (rs.reshape(-1, H) * h_prev).T @ dproj[..., G:].reshape(-1, H))
+
+    return _make(data, parents, backward)
 
 
 # -- parameters ----------------------------------------------------------------

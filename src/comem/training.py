@@ -21,6 +21,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# v2 dropped the fact GRUs' update-gate parameters, which the forward pass never read
+CHECKPOINT_FORMAT = "comem-checkpoint-v2"
+
 
 @dataclass
 class TrainConfig:
@@ -110,7 +113,7 @@ def save_checkpoint(path, model: CoMemoryModel, train_config: TrainConfig, epoch
         blobs.append(raw)
         offset += len(raw)
     manifest = {
-        "format": "comem-checkpoint-v1",
+        "format": CHECKPOINT_FORMAT,
         "model_config": model.config.to_dict(),
         "train_config": asdict(train_config),
         "epoch": epoch,
@@ -131,11 +134,11 @@ def load_checkpoint(path) -> tuple[CoMemoryModel, dict]:
     path = Path(path)
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError covers JSON and UTF-8 decoding
         raise FormatError(f"{path}: unreadable checkpoint manifest ({e})")
     fmt = manifest.get("format") if isinstance(manifest, dict) else None
-    if fmt != "comem-checkpoint-v1":
-        raise FormatError(f"{path}: unknown checkpoint format {fmt!r}")
+    if fmt != CHECKPOINT_FORMAT:
+        raise FormatError(f"{path}: unsupported checkpoint format {fmt!r}, expected {CHECKPOINT_FORMAT!r}")
     blob_path = path.parent / _field(manifest, "blob", path)
     try:
         blob = blob_path.read_bytes()

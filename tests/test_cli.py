@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 import comem
+import comem.tensor as T
+from comem import cli
 
 CLI = [sys.executable, "-m", "comem.cli"]
 
@@ -181,10 +183,20 @@ def test_gradcheck_passes_and_repeats(tmp_path):
     assert (tmp_path / "gradcheck_tiny_0.config.json").exists()
 
 
-def test_gradcheck_detects_corrupted_gradients(tmp_path):
-    r = run_cli("gradcheck", "--config", "tiny", "--seed", "0", cwd=tmp_path,
-                env={"COMEM_TEST_CORRUPT_GRAD": "1"})
-    assert r.returncode == 3
+def test_gradcheck_detects_corrupted_gradients(tmp_path, monkeypatch):
+    """Doubling the gradient that flows into every GRU scan must fail the check (exit 3)."""
+    scan = T.gru_scan
+
+    def scan_with_doubled_backward(*args, **kwargs):
+        out = scan(*args, **kwargs)
+        backward = out._backward
+        if backward is not None:
+            out._backward = lambda g: backward(2.0 * g)
+        return out
+
+    monkeypatch.setattr(T, "gru_scan", scan_with_doubled_backward)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["gradcheck", "--config", "tiny", "--seed", "0"]) == 3
 
 
 # -- usage errors --------------------------------------------------------------------

@@ -340,6 +340,38 @@ def test_dataset_requires_manifest(tmp_path):
         Dataset(tmp_path, TaskKind.FRAME_QA)
 
 
+@pytest.fixture
+def small_dataset(tmp_path):
+    out = tmp_path / "d"
+    generate_dataset(SyntheticSpec(seed=15), 10, out)
+    return out
+
+
+def test_dataset_missing_vocab_is_format_error(small_dataset):
+    (small_dataset / "vocab.json").unlink()
+    with pytest.raises(FormatError, match="vocab.json"):
+        Dataset(small_dataset, TaskKind.FRAME_QA)
+
+
+def test_dataset_corrupt_manifest_is_format_error(small_dataset):
+    (small_dataset / "manifest.json").write_text('{"episodes": 10,', encoding="utf-8")
+    with pytest.raises(FormatError, match="manifest.json"):
+        Dataset(small_dataset, TaskKind.FRAME_QA)
+
+
+def test_dataset_missing_feature_file_is_format_error(small_dataset):
+    ds = Dataset(small_dataset, TaskKind.FRAME_QA)
+    video = ds.items["train"][0].video
+    (small_dataset / "features" / f"{video}_b.cmf").unlink()
+    with pytest.raises(FormatError, match=f"{video}_b.cmf"):
+        ds.features(video)
+
+
+def test_missing_qa_file_is_format_error(tmp_path):
+    with pytest.raises(FormatError, match="nope.jsonl"):
+        load_qa_file(tmp_path / "nope.jsonl")
+
+
 def test_count_answer_distribution_is_wide(tmp_path):
     """Counts must include zeros and spread enough that guessing the mean is
     clearly penalized (the constant-mean baseline stays well above 2.5)."""

@@ -7,11 +7,10 @@ import comem.tensor as T
 from comem.encoders import (
     GruParams,
     TokenEmbeddingTable,
+    _run_gru_layer,
     attention_gru_encode,
-    encode_answer_candidate,
     encode_question,
     encode_token_batch,
-    gru_step,
 )
 from comem.errors import DimensionError, DomainError, VocabularyError
 from comem.model import pad_token_batch
@@ -46,39 +45,120 @@ def _hand_gru(x, h, p):
     return z * cand + (1 - z) * h
 
 
-# -- gru_step ----------------------------------------------------------------
+def _last_state(xs, p, mask=None):
+    """Final state of one GRU layer over the rows of ``xs`` (one input per step)."""
+    return T.last_step(_run_gru_layer(Tensor(np.asarray(xs, dtype=np.float64)), p, mask))
+
+
+def _view(a, key):
+    """Test-only slicing op: ``a[key]``, its gradient scattered back into ``a``."""
+    def backward(g):
+        full = np.zeros_like(a.data)
+        full[key] = g
+        T._accumulate(a, full)
+
+    return T._make(a.data[key], (a,), backward)
+
+
+def _cols(start, stop):
+    return (..., slice(start, stop))
+
+
+def _reference_scan(proj, u_gates, u_h, gate=None, mask=None):
+    """The recurrence ``T.gru_scan`` fuses, one ``T`` op at a time (float64 oracle)."""
+    H, G = u_h.data.shape[0], u_gates.data.shape[1]
+    h = Tensor(np.zeros(proj.data.shape[:-2] + (H,)))
+    states = []
+    for j in range(proj.data.shape[-2]):
+        px = _view(proj, (..., j, slice(None)))
+        hu = T.matmul(h, u_gates)
+        if gate is None:
+            z = T.sigmoid(_view(px, _cols(0, H)) + _view(hu, _cols(0, H)))
+            r = T.sigmoid(_view(px, _cols(H, G)) + _view(hu, _cols(H, G)))
+        else:
+            z = _view(gate, _cols(j, j + 1))
+            r = T.sigmoid(_view(px, _cols(0, H)) + hu)
+        h_cand = T.tanh(_view(px, _cols(G, G + H)) + T.matmul(T.mul(r, h), u_h))
+        h_new = T.mul(z, h_cand) + T.mul(1.0 - z, h)
+        if mask is not None:
+            m = Tensor(mask[..., j : j + 1])
+            h_new = T.mul(m, h_new) + T.mul(1.0 - m, h)
+        h = h_new
+        states.append(h)
+    return T.stack(states, axis=-2)
+
+
+# -- gru_scan ------------------------------------------------------------------
 
 
 def test_gru_zero_params_halves_hidden():
     p = _scalar_gru(0, 0, 0, 0, 0, 0, 0, 0, 0)
-    h = gru_step(Tensor([2.0]), Tensor([4.0]), p)
-    assert np.allclose(h.data, [2.0])  # z=0.5, candidate=0 -> 0.5*h_prev
-    h0 = gru_step(Tensor([2.0]), Tensor([0.0]), p)
+    # step 1 sets h = 0.8 through a saturated update gate; step 2 projects x = 2 through zero weights
+    proj = Tensor([[40.0, 0.0, np.arctanh(0.8)], [0.0, 0.0, 0.0]])
+    h = T.gru_scan(proj, T.concat([p.u_z, p.u_r], axis=-1), p.u_h)
+    assert np.allclose(h.data[:, 0], [0.8, 0.4])  # z=0.5, candidate=0 -> 0.5*h_prev
+    h0 = _last_state([[2.0]], p)
     assert np.allclose(h0.data, [0.0])
 
 
 def test_gru_matches_scalar_recurrence():
     p = _scalar_gru(0.3, -0.2, 0.1, 0.5, 0.4, -0.1, 0.7, 0.2, 0.05)
     h = 0.0
-    ht = Tensor([0.0])
     for x in [1.0, -0.5, 2.0]:
         h = _hand_gru(x, h, p)
-        ht = gru_step(Tensor([x]), ht, p)
+    ht = _last_state([[1.0], [-0.5], [2.0]], p)
     assert np.allclose(ht.data, [h], atol=1e-12)
 
 
 def test_gru_output_width_is_hidden_size():
     p, _ = _gru(1, 16, 512)
-    h = gru_step(Tensor(np.zeros(16)), Tensor(np.zeros(512)), p)
+    h = _last_state(np.zeros((1, 16)), p)
     assert h.data.shape == (512,)
 
 
 def test_gru_shape_errors():
     p, _ = _gru(0, 3, 4)
+    u_gates = T.concat([p.u_z, p.u_r], axis=-1)
     with pytest.raises(DimensionError):
-        gru_step(Tensor(np.zeros(5)), Tensor(np.zeros(4)), p)
+        _last_state(np.zeros((1, 5)), p)
+    with pytest.raises(DimensionError):  # projections of a 2-wide GRU against 4-wide weights
+        T.gru_scan(Tensor(np.zeros((1, 6))), u_gates, p.u_h)
+    with pytest.raises(DimensionError):  # an external gate takes [r | h] projections
+        T.gru_scan(Tensor(np.zeros((2, 12))), u_gates, p.u_h, gate=Tensor(np.zeros(2)))
     with pytest.raises(DimensionError):
-        gru_step(Tensor(np.zeros(3)), Tensor(np.zeros(2)), p)
+        T.gru_scan(Tensor(np.zeros((2, 8))), p.u_r, p.u_h, gate=Tensor(np.zeros(3)))
+    with pytest.raises(DimensionError):
+        T.gru_scan(Tensor(np.zeros((2, 12))), u_gates, p.u_h, mask=np.ones(3))
+
+
+@pytest.mark.parametrize("external_gate", [False, True])
+@pytest.mark.parametrize("lead", [(), (2, 3)])
+@pytest.mark.parametrize("masked", [False, True])
+def test_gru_scan_matches_per_step_reference(external_gate, lead, masked):
+    rng = _rng(20)
+    H, L = 3, 5
+    G = H if external_gate else 2 * H
+    proj = Tensor(rng.standard_normal(lead + (L, G + H)), requires_grad=True)
+    u_gates = Tensor(rng.standard_normal((H, G)), requires_grad=True)
+    u_h = Tensor(rng.standard_normal((H, H)), requires_grad=True)
+    gate = Tensor(rng.uniform(0.0, 1.0, lead + (L,)), requires_grad=True) if external_gate else None
+    mask = rng.integers(0, 2, lead + (L,)).astype(np.float64) if masked else None
+    weights = Tensor(rng.standard_normal(lead + (L, H)))  # every step's state reaches the loss
+    tensors = [proj, u_gates, u_h] + ([gate] if external_gate else [])
+
+    def run(scan):
+        for t in tensors:
+            t.grad = None
+        out = scan(proj, u_gates, u_h, gate=gate, mask=mask)
+        T.tsum(T.mul(out, weights)).backward()
+        return out.data, [t.grad for t in tensors]
+
+    got, got_grads = run(T.gru_scan)
+    want, want_grads = run(_reference_scan)
+    assert got.shape == lead + (L, H)
+    assert np.abs(got - want).max() <= 1e-10
+    for g, w in zip(got_grads, want_grads):
+        assert np.abs(g - w).max() <= 1e-10
 
 
 # -- attention_gru_encode ------------------------------------------------------
@@ -197,16 +277,13 @@ def test_question_output_width():
 def test_question_matches_composed_gru_steps():
     table, l1, l2, _ = _encoder(7)
     tokens = [2, 5]
-    h1 = Tensor(np.zeros(5))
-    outs = []
-    for t in tokens:
-        h1 = gru_step(Tensor(table.table.data[t]), h1, l1)
-        outs.append(h1)
-    h2 = Tensor(np.zeros(5))
-    for o in outs:
-        h2 = gru_step(o, h2, l2)
+    outs = Tensor(table.table.data[tokens])
+    for layer in (l1, l2):
+        proj = T.affine(outs, T.concat([layer.w_z, layer.w_r, layer.w_h], axis=-1),
+                        T.concat([layer.b_z, layer.b_r, layer.b_h], axis=-1))
+        outs = _reference_scan(proj, T.concat([layer.u_z, layer.u_r], axis=-1), layer.u_h)
     q = encode_question(tokens, table, l1, l2)
-    assert np.allclose(q.data, h2.data, atol=1e-10)
+    assert np.allclose(q.data, outs.data[-1], atol=1e-10)
 
 
 def test_question_depends_on_token_order():
@@ -222,15 +299,6 @@ def test_question_validation_errors():
         encode_question([], table, l1, l2)
     with pytest.raises(VocabularyError):
         encode_question([99], table, l1, l2)
-
-
-def test_answer_candidate_shares_question_weights():
-    table, l1, l2, _ = _encoder(10)
-    tokens = [4, 1, 7]
-    assert np.allclose(
-        encode_answer_candidate(tokens, table, l1, l2).data,
-        encode_question(tokens, table, l1, l2).data,
-    )
 
 
 def test_batched_encoding_matches_per_item_with_padding():

@@ -117,3 +117,12 @@ def test_inspect_maps_match_reference_for_predicted_candidate(case):
                                        ("motion", maps.sb_levels, maps.sb_steps)):
                 assert np.abs(np.asarray(exported[mod]["levels"]) - levels.data[0]).max() <= 1e-10
                 assert np.abs(np.asarray(exported[mod]["steps"]) - steps.data[0]).max() <= 1e-10
+
+
+@pytest.mark.parametrize("task", [t.value for t in D.TaskKind])
+def test_every_parameter_is_read_by_the_forward_pass(task):
+    from comem.verification import build_gradcheck_case
+
+    f, params = build_gradcheck_case(task)
+    f().backward()
+    assert all(p.grad is not None for p in params)

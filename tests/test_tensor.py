@@ -320,6 +320,12 @@ def test_primitive_gradients_match_finite_differences(seed):
     v = _param(rng.standard_normal(6))
     s = _param(rng.uniform(0.0, 1.0, (2, 3, 2, 4)))  # (batch, K, N, L)
     levels = _param(rng.standard_normal((2, 2, 4, 5)))  # (batch, N, L, D)
+    p_zrh = _param(rng.standard_normal((2, 4, 9)))  # (batch, L, [z | r | h]) for H = 3
+    p_rh = _param(rng.standard_normal((2, 4, 6)))  # (batch, L, [r | h])
+    u_zr = _param(rng.standard_normal((3, 6)))
+    u_r = _param(rng.standard_normal((3, 3)))
+    u_h = _param(rng.standard_normal((3, 3)))
+    gate = _param(rng.uniform(0.0, 1.0, (2, 4)))
 
     cases = [
         (lambda: T.tsum(T.tanh(T.affine(x, W, b))), [x, W, b]),
@@ -332,7 +338,9 @@ def test_primitive_gradients_match_finite_differences(seed):
         (lambda: T.tsum(T.mul(T.relu(v), T.tanh(v))), [v]),
         (lambda: T.tsum(T.square(T.concat([v, v * 2.0]))), [v]),
         (lambda: T.tsum(T.square(T.repeat_rows(x, 3))), [x]),
-        (lambda: T.tsum(T.square(T.slice_last(x, 1, 3))), [x]),
+        (lambda: T.tsum(T.square(T.last_step(levels))), [levels]),
+        (lambda: T.tsum(T.square(T.gru_scan(p_zrh, u_zr, u_h))), [p_zrh, u_zr, u_h]),
+        (lambda: T.tsum(T.square(T.gru_scan(p_rh, u_r, u_h, gate=gate))), [p_rh, u_r, u_h, gate]),
         (lambda: T.tsum(T.square(T.stack([v, v * -1.0], axis=0))), [v]),
         (lambda: T.tsum(T.square(T.tmean(x, axis=0))), [x]),
         (lambda: T.tsum(T.select_index(x, np.array([0, 2, 1, 0, 2]))), [x]),
@@ -359,6 +367,19 @@ def test_mix_levels_matches_loop_oracle():
         T.mix_levels(Tensor(s), Tensor(x[:, :3]))
     with pytest.raises(DimensionError):
         T.mix_levels(Tensor(s[:1]), Tensor(x))
+
+
+def test_gru_scan_under_no_grad_records_nothing():
+    rng = _rng(8)
+    args = (_param(rng.standard_normal((2, 5, 6))), _param(rng.standard_normal((3, 3))),
+            _param(rng.standard_normal((3, 3))))
+    gate = _param(rng.uniform(0.0, 1.0, (2, 5)))
+    taped = T.gru_scan(*args, gate=gate)
+    with T.no_grad():
+        quiet = T.gru_scan(*args, gate=gate)
+    assert taped._parents and taped._backward is not None
+    assert np.array_equal(quiet.data, taped.data)
+    assert quiet._parents == () and quiet._backward is None
 
 
 def test_gather_rows_gradient_accumulates_repeats():

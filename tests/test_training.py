@@ -155,6 +155,20 @@ def test_checkpoint_rejects_bad_manifest(tmp_path):
     path.write_text("not json")
     with pytest.raises(FormatError):
         load_checkpoint(path)
+    path.write_bytes(b"\xff\xfe not utf-8")
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_v1_format(tmp_path):
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, _tiny_model(), TrainConfig(task="frame"), 1, [])
+    manifest = json.loads(path.read_text())
+    assert manifest["format"] == "comem-checkpoint-v2"
+    manifest["format"] = "comem-checkpoint-v1"  # v1 also held the fact GRUs' unused update gates
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match="comem-checkpoint-v1"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_blob_size_mismatch(tmp_path):
