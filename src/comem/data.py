@@ -476,19 +476,11 @@ class Dataset:
 
     def batch(self, items: list[QAItem]) -> dict:
         """Assemble padded numpy arrays for one batch of items."""
-        from .model import pad_token_batch
+        from .model import make_batch
 
         feats = [self.features(i.video) for i in items]
-        batch = {
-            "ids": [i.id for i in items],
-            "features_a": np.stack([f[0] for f in feats]),
-            "features_b": np.stack([f[1] for f in feats]),
-            "answers": np.asarray([i.answer for i in items], dtype=np.int64),
-        }
-        batch["q_ids"], batch["q_mask"] = pad_token_batch([i.question for i in items])
-        if self.task.is_multiple_choice:
-            flat = [c for i in items for c in i.candidates]
-            ids, mask = pad_token_batch(flat)
-            batch["cand_ids"] = ids.reshape(len(items), NUM_CHOICES, -1)
-            batch["cand_mask"] = mask.reshape(len(items), NUM_CHOICES, -1)
+        batch = make_batch([f[0] for f in feats], [f[1] for f in feats], [i.question for i in items],
+                           [i.candidates for i in items] if self.task.is_multiple_choice else None)
+        batch["ids"] = [i.id for i in items]
+        batch["answers"] = np.asarray([i.answer for i in items], dtype=np.int64)
         return batch

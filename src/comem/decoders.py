@@ -82,12 +82,16 @@ def count_regression(m_h: Tensor, p: DecoderParams) -> Tensor:
     return r + T.reshape(p.b_n, ())
 
 
+def round_count(r):
+    """Integer counts from unrounded estimates: round half-up, clamped to 0..10."""
+    rounded = np.floor(np.asarray(r, dtype=np.float64) + 0.5)
+    return np.clip(rounded, COUNT_MIN, COUNT_MAX).astype(np.int64)
+
+
 def predict_count(m_h: Tensor, p: DecoderParams):
-    """Integer prediction: round half-up, clamped to the 11-answer range 0..10."""
-    r = count_regression(m_h, p)
-    rounded = np.floor(np.asarray(r.data, dtype=np.float64) + 0.5)
-    clamped = np.clip(rounded, COUNT_MIN, COUNT_MAX).astype(np.int64)
-    return clamped if clamped.ndim else int(clamped)
+    """Integer prediction from ``round_count``; a scalar for one memory vector."""
+    counts = round_count(count_regression(m_h, p).data)
+    return counts if counts.ndim else int(counts)
 
 
 def l2_count_loss(r: Tensor, y) -> Tensor:
@@ -98,13 +102,13 @@ def l2_count_loss(r: Tensor, y) -> Tensor:
     return T.square(r - Tensor(y))
 
 
-def classify_word(m_h: Tensor, p: DecoderParams) -> Tensor:
-    """Probability distribution over the answer vocabulary."""
-    return T.softmax(T.affine(m_h, p.w_w, p.b_w), axis=-1)
-
-
 def word_logits(m_h: Tensor, p: DecoderParams) -> Tensor:
     return T.affine(m_h, p.w_w, p.b_w)
+
+
+def classify_word(m_h: Tensor, p: DecoderParams) -> Tensor:
+    """Probability distribution over the answer vocabulary."""
+    return T.softmax(word_logits(m_h, p), axis=-1)
 
 
 def cross_entropy_loss(logits: Tensor, target) -> Tensor:
@@ -122,14 +126,45 @@ def predict_word(m_h: Tensor, p: DecoderParams):
     return idx if idx.ndim else int(idx)
 
 
-def answer_multiple_choice(model, features_a, features_b, question_tokens, candidates) -> int:
-    """Score each of the 5 candidates with its own conditioned forward pass.
+# -- one head per task -----------------------------------------------------------
 
-    ``model`` must expose ``score_candidates(features_a, features_b,
-    question_tokens, candidates)``.  Returns the argmax index; ties resolve
-    to the lowest index.
+
+def num_answers(task: TaskKind, answer_vocab: int | None = None) -> int | None:
+    """Size of the answer range: candidate slots, counts 0..10, or answer words."""
+    if task.is_multiple_choice:
+        return NUM_CHOICES
+    if task is TaskKind.REPETITION_COUNT:
+        return COUNT_MAX + 1
+    return answer_vocab
+
+
+def head(task: TaskKind, m_h: Tensor, p: DecoderParams) -> Tensor:
+    """The task's raw output: choice scores, unrounded counts or word logits."""
+    if task.is_multiple_choice:
+        return score_choice(m_h, p)
+    if task is TaskKind.REPETITION_COUNT:
+        return count_regression(m_h, p)
+    return word_logits(m_h, p)
+
+
+def task_loss(task: TaskKind, out: Tensor, answers) -> Tensor:
+    """Per-item loss of ``head``'s output ``out`` (B, ...) against integer answers (B,).
+
+    Multiple choice: ``hinge_loss`` of the correct score against the K-1
+    wrong ones; count: ``l2_count_loss``; word: ``cross_entropy_loss``.
     """
-    if len(candidates) != NUM_CHOICES:
-        raise DomainError(f"expected {NUM_CHOICES} candidates, got {len(candidates)}")
-    scores = model.score_candidates(features_a, features_b, question_tokens, candidates)
-    return int(np.argmax(scores))
+    answers = np.asarray(answers)
+    if task.is_multiple_choice:
+        slots = np.arange(out.data.shape[-1] - 1)
+        wrong = slots + (slots >= answers[:, None])  # (B, K-1): every slot but the answer
+        return hinge_loss(T.select_index(out, answers), [T.select_index(out, w) for w in wrong.T])
+    if task is TaskKind.REPETITION_COUNT:
+        return l2_count_loss(out, answers)
+    return cross_entropy_loss(out, answers)
+
+
+def task_predictions(task: TaskKind, out: Tensor) -> np.ndarray:
+    """Per-item answers from ``head``'s output: rounded counts, else the argmax (ties to the lowest index)."""
+    if task is TaskKind.REPETITION_COUNT:
+        return round_count(out.data)
+    return np.argmax(out.data, axis=-1)

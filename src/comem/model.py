@@ -78,6 +78,23 @@ def pad_token_batch(seqs: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarr
     return ids, mask
 
 
+def make_batch(features_a, features_b, questions, candidates=None) -> dict:
+    """The batch dict every forward pass reads, for items given as parallel lists.
+
+    ``features_a``/``features_b``: one (L, D) array per item; ``questions``:
+    one token id list per item; ``candidates``: per item, its
+    ``NUM_CHOICES`` candidate token id lists (multiple choice only).
+    Training callers add ``answers``.
+    """
+    batch = {"features_a": np.stack(features_a), "features_b": np.stack(features_b)}
+    batch["q_ids"], batch["q_mask"] = pad_token_batch(questions)
+    if candidates is not None:
+        ids, mask = pad_token_batch([c for item in candidates for c in item])
+        batch["cand_ids"] = ids.reshape(len(candidates), D.NUM_CHOICES, -1)
+        batch["cand_mask"] = mask.reshape(len(candidates), D.NUM_CHOICES, -1)
+    return batch
+
+
 class CoMemoryModel:
     """Owns the parameter store and runs task-specific forward passes."""
 
@@ -117,103 +134,55 @@ class CoMemoryModel:
     def _fuse_candidate(self, q: Tensor, e: Tensor) -> Tensor:
         return T.tanh(T.affine(T.concat([q, e], axis=-1), self.fuse_w, self.fuse_b))
 
-    def _episodes(self, A, B, q: Tensor):
-        """Memory read-out and maps; ``q`` is (B, Q), or (B, K, Q) for K candidates.
-
-        The facts stay untiled at (B, N, L, ·): their projections are made
-        once here and shared by every cycle and every candidate.
-        """
-        proj = fact_projections(A, B, self.comem)
-        return run_episodes(A, B, q, self.comem, self.config.cycles, facts_proj=proj)
-
-    def _mc_scores(self, A, B, q: Tensor, cand_ids: np.ndarray, cand_mask: np.ndarray):
-        """Scores (B, K) and maps (B, K, N, L): one question per candidate, facts untiled.
-
-        Candidate ``k`` of item ``b`` is fused with that item's question into
-        row ``(b, k)``; the memories carry that (B, K) layout and the facts
-        broadcast against it.
-        """
+    def _candidate_questions(self, q: Tensor, cand_ids: np.ndarray, cand_mask: np.ndarray) -> Tensor:
+        """(B, K, Q): candidate ``k`` of item ``b`` fused with that item's question."""
         n_items, K = cand_ids.shape[:2]
         e = encode_token_batch(cand_ids.reshape(n_items * K, -1), cand_mask.reshape(n_items * K, -1),
                                self.embedding, self.q_gru1, self.q_gru2)
         q_all = self._fuse_candidate(T.repeat_rows(q, K), e)
-        m_h, maps = self._episodes(A, B, T.reshape(q_all, (n_items, K, q_all.data.shape[-1])))
-        return D.score_choice(m_h, self.decoder), maps
+        return T.reshape(q_all, (n_items, K, q_all.data.shape[-1]))
 
-    # -- training forward ---------------------------------------------------
+    def _forward(self, batch: dict):
+        """Head output and per-cycle attention maps for a ``make_batch`` dict.
+
+        Multiple choice runs one fused question per candidate, (B, K, Q), so
+        the output is (B, K) scores and the maps are (B, K, N, L).  The facts
+        stay untiled at (B, N, L, ·): their projections are made once here and
+        shared by every cycle and every candidate.
+        """
+        task = self.config.task_kind()
+        A, B = self._facts(batch["features_a"], batch["features_b"])
+        q = self._question(batch["q_ids"], batch["q_mask"])
+        if task.is_multiple_choice:
+            q = self._candidate_questions(q, batch["cand_ids"], batch["cand_mask"])
+        proj = fact_projections(A, B, self.comem)
+        m_h, maps = run_episodes(A, B, q, self.comem, self.config.cycles, facts_proj=proj)
+        return D.head(task, m_h, self.decoder), maps
+
+    # -- training and inference ----------------------------------------------
 
     def forward_loss(self, batch: dict) -> tuple[Tensor, np.ndarray]:
         """Mean loss over a batch dict; returns (loss, per-item predictions)."""
         task = self.config.task_kind()
-        A, B = self._facts(batch["features_a"], batch["features_b"])
-        q = self._question(batch["q_ids"], batch["q_mask"])
-        answers = np.asarray(batch["answers"])
-        if task.is_multiple_choice:
-            scores, _ = self._mc_scores(A, B, q, batch["cand_ids"], batch["cand_mask"])
-            s_p = T.select_index(scores, answers)
-            margins = T.relu(1.0 + scores - T.reshape(s_p, s_p.data.shape + (1,)))
-            # the correct candidate contributes a constant relu(1) = 1 per row
-            n_neg = scores.data.shape[-1] - 1
-            per_item = T.scale(T.tsum(margins, axis=-1) - 1.0, 1.0 / n_neg)
-            preds = np.argmax(scores.data, axis=-1)
-        elif task is TaskKind.REPETITION_COUNT:
-            m_h, _ = self._episodes(A, B, q)
-            r = D.count_regression(m_h, self.decoder)
-            per_item = D.l2_count_loss(r, answers.astype(np.float64))
-            preds = np.clip(np.floor(np.asarray(r.data, dtype=np.float64) + 0.5), D.COUNT_MIN, D.COUNT_MAX).astype(np.int64)
-        else:
-            m_h, _ = self._episodes(A, B, q)
-            logits = D.word_logits(m_h, self.decoder)
-            per_item = D.cross_entropy_loss(logits, answers)
-            preds = np.argmax(logits.data, axis=-1)
-        return T.tmean(per_item), preds
-
-    # -- inference -----------------------------------------------------------
+        out, _ = self._forward(batch)
+        return T.tmean(D.task_loss(task, out, batch["answers"])), D.task_predictions(task, out)
 
     def predict(self, batch: dict) -> np.ndarray:
-        task = self.config.task_kind()
         with T.no_grad():
-            A, B = self._facts(batch["features_a"], batch["features_b"])
-            q = self._question(batch["q_ids"], batch["q_mask"])
-            if task.is_multiple_choice:
-                scores, _ = self._mc_scores(A, B, q, batch["cand_ids"], batch["cand_mask"])
-                return np.argmax(scores.data, axis=-1)
-            m_h, _ = self._episodes(A, B, q)
-            if task is TaskKind.REPETITION_COUNT:
-                return np.atleast_1d(D.predict_count(m_h, self.decoder))
-            return np.atleast_1d(D.predict_word(m_h, self.decoder))
-
-    def score_candidates(self, features_a, features_b, question_tokens, candidates) -> np.ndarray:
-        """Candidate scores for one item (used by ``answer_multiple_choice``)."""
-        q_ids, q_mask = pad_token_batch([question_tokens])
-        cand_ids, cand_mask = pad_token_batch(list(candidates))
-        with T.no_grad():
-            A, B = self._facts(np.asarray(features_a)[None], np.asarray(features_b)[None])
-            q = self._question(q_ids, q_mask)
-            scores, _ = self._mc_scores(A, B, q, cand_ids[None], cand_mask[None])
-        return np.asarray(scores.data[0], dtype=np.float64)
+            out, _ = self._forward(batch)
+        return D.task_predictions(self.config.task_kind(), out)
 
     def inspect(self, features_a, features_b, question_tokens, candidates=None) -> dict:
         """One forward pass for a single item; returns attention maps and prediction."""
         task = self.config.task_kind()
-        q_ids, q_mask = pad_token_batch([question_tokens])
+        if task.is_multiple_choice and (candidates is None or len(candidates) != D.NUM_CHOICES):
+            raise DomainError("multiple-choice inspection needs 5 candidates")
+        batch = make_batch([features_a], [features_b], [question_tokens],
+                           [candidates] if task.is_multiple_choice else None)
         with T.no_grad():
-            A, B = self._facts(np.asarray(features_a)[None], np.asarray(features_b)[None])
-            q = self._question(q_ids, q_mask)
-            if task.is_multiple_choice:
-                if candidates is None or len(candidates) != D.NUM_CHOICES:
-                    raise DomainError("multiple-choice inspection needs 5 candidates")
-                cand_ids, cand_mask = pad_token_batch(list(candidates))
-                scores, maps = self._mc_scores(A, B, q, cand_ids[None], cand_mask[None])
-                pred = int(np.argmax(scores.data[0]))
-                index = (0, pred)  # maps are (1, K, N, L): the predicted candidate's row
-            else:
-                m_h, maps = self._episodes(A, B, q)
-                index = (0,)
-                if task is TaskKind.REPETITION_COUNT:
-                    pred = int(D.predict_count(m_h, self.decoder)[0])
-                else:
-                    pred = int(np.argmax(D.word_logits(m_h, self.decoder).data[0]))
+            out, maps = self._forward(batch)
+        pred = int(D.task_predictions(task, out)[0])
+        index = (0, pred) if task.is_multiple_choice else (0,)  # MC maps are (1, K, N, L)
         return {
             "prediction": pred,
             "cycles": [m.export(index) for m in maps],

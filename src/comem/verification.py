@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .decoders import NUM_CHOICES, TaskKind
-from .model import CoMemoryModel, ModelConfig, pad_token_batch, tiny_model_config
+from .decoders import NUM_CHOICES, TaskKind, num_answers
+from .model import CoMemoryModel, ModelConfig, make_batch, tiny_model_config
 from .tensor import WIDE_DTYPE
 
 
@@ -23,25 +23,17 @@ def build_gradcheck_case(task: str, seed: int = 0, size: str = "tiny", batch: in
     cfg = tiny_model_config(task) if size == "tiny" else default_check_config(task)
     model = CoMemoryModel(cfg, seed=seed, dtype=WIDE_DTYPE)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed + 17)))
-    L = cfg.resolution
-    batch_dict = {
-        "features_a": rng.standard_normal((batch, L, cfg.input_width_a)),
-        "features_b": rng.standard_normal((batch, L, cfg.input_width_b)),
-    }
-    q_len = 4
-    questions = [list(rng.integers(0, cfg.vocab_size, size=q_len)) for _ in range(batch)]
-    batch_dict["q_ids"], batch_dict["q_mask"] = pad_token_batch(questions)
     kind = TaskKind(task)
+    L = cfg.resolution
+    features_a = rng.standard_normal((batch, L, cfg.input_width_a))
+    features_b = rng.standard_normal((batch, L, cfg.input_width_b))
+    questions = [list(rng.integers(0, cfg.vocab_size, size=4)) for _ in range(batch)]
+    candidates = None
     if kind.is_multiple_choice:
-        cands = [list(rng.integers(0, cfg.vocab_size, size=2)) for _ in range(batch * NUM_CHOICES)]
-        ids, mask = pad_token_batch(cands)
-        batch_dict["cand_ids"] = ids.reshape(batch, NUM_CHOICES, -1)
-        batch_dict["cand_mask"] = mask.reshape(batch, NUM_CHOICES, -1)
-        batch_dict["answers"] = rng.integers(0, NUM_CHOICES, size=batch)
-    elif kind is TaskKind.REPETITION_COUNT:
-        batch_dict["answers"] = rng.integers(0, 11, size=batch)
-    else:
-        batch_dict["answers"] = rng.integers(0, cfg.answer_vocab, size=batch)
+        flat = [list(rng.integers(0, cfg.vocab_size, size=2)) for _ in range(batch * NUM_CHOICES)]
+        candidates = [flat[i : i + NUM_CHOICES] for i in range(0, len(flat), NUM_CHOICES)]
+    batch_dict = make_batch(features_a, features_b, questions, candidates)
+    batch_dict["answers"] = rng.integers(0, num_answers(kind, cfg.answer_vocab), size=batch)
 
     def f():
         loss, _ = model.forward_loss(batch_dict)

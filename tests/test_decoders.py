@@ -10,15 +10,19 @@ from comem.decoders import (
     NUM_CHOICES,
     DecoderParams,
     TaskKind,
-    answer_multiple_choice,
     classify_word,
     count_regression,
     cross_entropy_loss,
+    head,
     hinge_loss,
     l2_count_loss,
+    num_answers,
     predict_count,
     predict_word,
+    round_count,
     score_choice,
+    task_loss,
+    task_predictions,
     word_logits,
 )
 from comem.errors import DimensionError, DomainError
@@ -204,27 +208,54 @@ def test_word_head_requires_vocab():
         DecoderParams.create(store, "d", 6, TaskKind.FRAME_QA, answer_vocab=0)
 
 
-# -- multiple choice glue --------------------------------------------------------
+# -- one head per task ----------------------------------------------------------
 
 
-class _FakeModel:
-    def __init__(self, scores):
-        self.scores = scores
-
-    def score_candidates(self, fa, fb, tokens, candidates):
-        return self.scores
-
-
-def test_answer_multiple_choice_argmax_and_ties():
-    assert answer_multiple_choice(_FakeModel([0.1, 0.9, 0.3, 0.2, 0.0]), None, None, [], [0] * 5) == 1
+def test_task_predictions_argmax_and_ties():
+    scores = Tensor(np.array([[0.1, 0.9, 0.3, 0.2, 0.0], [0.5] * 5]))
     # identical scores tie to the lowest index
-    assert answer_multiple_choice(_FakeModel([0.5] * 5), None, None, [], [0] * 5) == 0
+    assert task_predictions(TaskKind.STATE_TRANSITION, scores).tolist() == [1, 0]
+    assert task_predictions(TaskKind.FRAME_QA, scores).tolist() == [1, 0]
+    assert task_predictions(TaskKind.REPETITION_COUNT, Tensor(np.array([-0.2, 2.5, 14.2]))).tolist() == [0, 3, 10]
 
 
-def test_answer_multiple_choice_requires_five_candidates():
-    with pytest.raises(DomainError):
-        answer_multiple_choice(_FakeModel([1.0]), None, None, [], [0] * 4)
+def test_round_count_matches_predict_count():
+    p, _ = _params(TaskKind.REPETITION_COUNT, seed=15)
+    m_h = Tensor(_rng(15).standard_normal((50, 6)) * 8.0)
+    r = count_regression(m_h, p)
+    assert np.array_equal(round_count(r.data), predict_count(m_h, p))
+    assert np.array_equal(task_predictions(TaskKind.REPETITION_COUNT, r), predict_count(m_h, p))
+
+
+@pytest.mark.parametrize("task", list(TaskKind))
+def test_head_is_the_task_decoder(task):
+    p, _ = _params(task, answer_vocab=7, seed=16)
+    m_h = Tensor(_rng(16).standard_normal((3, 6)))
+    decoder = {TaskKind.REPETITION_COUNT: count_regression, TaskKind.FRAME_QA: word_logits}.get(task, score_choice)
+    assert np.array_equal(head(task, m_h, p).data, decoder(m_h, p).data)
+
+
+def test_task_loss_hinge_over_the_wrong_candidates():
+    scores = _rng(17).standard_normal((4, NUM_CHOICES))
+    answers = np.array([0, 2, 4, 2])
+    loss = task_loss(TaskKind.REPEATING_ACTION, Tensor(scores), answers)
+    for b, a in enumerate(answers):
+        wrong = [Tensor(np.array(scores[b, k])) for k in range(NUM_CHOICES) if k != a]
+        assert loss.data[b] == pytest.approx(float(hinge_loss(Tensor(np.array(scores[b, a])), wrong).data), abs=1e-15)
+
+
+def test_task_loss_count_and_word():
+    r = Tensor(np.array([1.0, 3.0]))
+    assert np.array_equal(task_loss(TaskKind.REPETITION_COUNT, r, [0, 5]).data, l2_count_loss(r, [0, 5]).data)
+    logits = Tensor(_rng(18).standard_normal((2, 5)))
+    assert np.array_equal(task_loss(TaskKind.FRAME_QA, logits, [4, 1]).data, cross_entropy_loss(logits, [4, 1]).data)
+
+
+def test_num_answers_per_task():
     assert NUM_CHOICES == 5
+    assert num_answers(TaskKind.STATE_TRANSITION, 9) == num_answers(TaskKind.REPEATING_ACTION) == NUM_CHOICES
+    assert num_answers(TaskKind.REPETITION_COUNT, 9) == COUNT_MAX + 1
+    assert num_answers(TaskKind.FRAME_QA, 9) == 9
 
 
 def test_choice_prediction_invariant_to_positive_weight_scaling():

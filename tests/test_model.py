@@ -1,9 +1,11 @@
-"""Multiple-choice forward: untiled facts against a per-candidate reference.
+"""Model forward: untiled facts against a per-candidate reference, and the task heads.
 
 The model runs all K candidates of an item over one copy of that item's
 facts, with the candidate axis carried only by the question and memories.
 The reference below runs ``run_episodes`` once per (item, candidate) on that
-item's facts alone, with that candidate's fused question.
+item's facts alone, with that candidate's fused question.  For every task,
+the training loss and predictions must come from the decoders' own losses
+and ``predict``.
 """
 
 import numpy as np
@@ -12,8 +14,9 @@ import pytest
 import comem.tensor as T
 from comem import decoders as D
 from comem.encoders import encode_token_batch
+from comem.errors import DomainError
 from comem.memory import run_episodes
-from comem.model import CoMemoryModel, pad_token_batch, tiny_model_config
+from comem.model import CoMemoryModel, make_batch, tiny_model_config
 from comem.tensor import Tensor
 
 ITEMS = 3
@@ -23,31 +26,25 @@ def _rng(seed):
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
+def _random_batch(cfg, rng):
+    """A ``make_batch`` dict of ITEMS random items, questions of 4, 3 and 5 tokens."""
+    questions = [list(rng.integers(0, cfg.vocab_size, size=n)) for n in (4, 3, 5)]
+    candidates = None
+    if cfg.task_kind().is_multiple_choice:
+        candidates = [[list(rng.integers(0, cfg.vocab_size, size=1 + (b + k) % 3)) for k in range(D.NUM_CHOICES)]
+                      for b in range(ITEMS)]
+    L = cfg.resolution
+    batch = make_batch(rng.standard_normal((ITEMS, L, cfg.input_width_a)),
+                       rng.standard_normal((ITEMS, L, cfg.input_width_b)), questions, candidates)
+    return batch, questions, candidates
+
+
 @pytest.fixture
 def case():
     cfg = tiny_model_config("trans")
     model = CoMemoryModel(cfg, seed=4, dtype=np.float64)
-    rng = _rng(40)
-    L = cfg.resolution
-    questions = [list(rng.integers(0, cfg.vocab_size, size=n)) for n in (4, 3, 5)]
-    candidates = [[list(rng.integers(0, cfg.vocab_size, size=1 + (b + k) % 3)) for k in range(D.NUM_CHOICES)]
-                  for b in range(ITEMS)]
-    q_ids, q_mask = pad_token_batch(questions)
-    cand_ids, cand_mask = pad_token_batch([c for item in candidates for c in item])
-    batch = {
-        "features_a": rng.standard_normal((ITEMS, L, cfg.input_width_a)),
-        "features_b": rng.standard_normal((ITEMS, L, cfg.input_width_b)),
-        "q_ids": q_ids, "q_mask": q_mask,
-        "cand_ids": cand_ids.reshape(ITEMS, D.NUM_CHOICES, -1),
-        "cand_mask": cand_mask.reshape(ITEMS, D.NUM_CHOICES, -1),
-    }
+    batch, questions, candidates = _random_batch(cfg, _rng(40))
     return model, batch, questions, candidates
-
-
-def _folded_scores(model, batch):
-    A, B = model._facts(batch["features_a"], batch["features_b"])
-    q = model._question(batch["q_ids"], batch["q_mask"])
-    return model._mc_scores(A, B, q, batch["cand_ids"], batch["cand_mask"])
 
 
 def _reference_run(model, batch, b, k):
@@ -63,7 +60,7 @@ def _reference_run(model, batch, b, k):
 def test_folded_scores_match_per_candidate_reference(case):
     model, batch, _, _ = case
     with T.no_grad():
-        scores, maps = _folded_scores(model, batch)
+        scores, maps = model._forward(batch)
         for b in range(ITEMS):
             for k in range(D.NUM_CHOICES):
                 ref, ref_maps = _reference_run(model, batch, b, k)
@@ -85,7 +82,7 @@ def test_folded_gradients_match_per_candidate_reference(case):
         loss.backward()
         return [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
 
-    scores, _ = _folded_scores(model, batch)
+    scores, _ = model._forward(batch)
     folded = grads_of(T.tsum(T.mul(scores, Tensor(weights))))
     total = None
     for b in range(ITEMS):
@@ -117,6 +114,37 @@ def test_inspect_maps_match_reference_for_predicted_candidate(case):
                                        ("motion", maps.sb_levels, maps.sb_steps)):
                 assert np.abs(np.asarray(exported[mod]["levels"]) - levels.data[0]).max() <= 1e-10
                 assert np.abs(np.asarray(exported[mod]["steps"]) - steps.data[0]).max() <= 1e-10
+
+
+def test_inspect_requires_five_candidates(case):
+    model, batch, questions, candidates = case
+    for bad in (None, candidates[0][:4]):
+        with pytest.raises(DomainError, match="5 candidates"):
+            model.inspect(batch["features_a"][0], batch["features_b"][0], questions[0], bad)
+
+
+@pytest.mark.parametrize("task", [t.value for t in D.TaskKind])
+def test_forward_loss_is_the_tested_head_loss(task):
+    """The training loss is the mean of the decoders' own losses over the head output."""
+    cfg = tiny_model_config(task)
+    kind = cfg.task_kind()
+    model = CoMemoryModel(cfg, seed=5, dtype=np.float64)
+    batch, _, _ = _random_batch(cfg, _rng(50))
+    batch["answers"] = _rng(51).integers(0, D.num_answers(kind, cfg.answer_vocab), size=ITEMS)
+    loss, preds = model.forward_loss(batch)
+    out, _ = model._forward(batch)
+    per_item = []
+    for b, a in enumerate(batch["answers"]):
+        row = out.data[b]
+        if kind.is_multiple_choice:
+            s = [Tensor(row[k]) for k in range(D.NUM_CHOICES)]
+            per_item.append(D.hinge_loss(s[a], s[:a] + s[a + 1 :]).data)
+        elif kind is D.TaskKind.REPETITION_COUNT:
+            per_item.append(D.l2_count_loss(Tensor(row), a).data)
+        else:
+            per_item.append(D.cross_entropy_loss(Tensor(row), a).data)
+    assert abs(float(loss.data) - np.mean(per_item)) <= 1e-12
+    assert np.array_equal(preds, model.predict(batch))
 
 
 @pytest.mark.parametrize("task", [t.value for t in D.TaskKind])
