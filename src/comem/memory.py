@@ -174,20 +174,19 @@ def _with_candidate_axis(facts: Tensor, q: Tensor) -> Tensor:
 
 
 def _gates_one_modality(gate_proj: Tensor, m_inner: Tensor, m_outer: Tensor, q: Tensor, w1, w2, w3, w4) -> Tensor:
-    """Raw gates for all levels/steps of one modality.
+    """Raw gates ``tanh(W2 f + W2 W1 [m; q] + W3 [m_other; q]) . w4`` for all levels/steps of one modality.
 
     ``gate_proj``: (..., [1,] N, L, Z), the untiled facts already multiplied
     by ``w2``.  The inner term uses the modality's own memory, the outer term
-    the other modality's memory.  The outer term enters after the ``w4``
-    contraction as one scalar per row, ``(z + o) w4 = z w4 + o w4``.
+    the other modality's memory; both are (..., Z) vectors added inside the
+    ``tanh``, so the other memory moves the level and step softmaxes.
     Returns (..., [K,] N, L).
     """
     inner = T.matmul(T.matmul(T.concat([m_inner, q], axis=-1), w1), w2)  # (..., Z)
-    outer = T.matmul(T.matmul(T.concat([m_outer, q], axis=-1), w3), w4)  # (..., 1)
+    inner = inner + T.matmul(T.concat([m_outer, q], axis=-1), w3)
     inner = T.reshape(inner, inner.data.shape[:-1] + (1, 1, inner.data.shape[-1]))
-    outer = T.reshape(outer, outer.data.shape + (1,))
     g = T.matmul(T.tanh(gate_proj + inner), w4)
-    return T.reshape(g, g.data.shape[:-1]) + outer
+    return T.reshape(g, g.data.shape[:-1])
 
 
 def co_attention(

@@ -117,8 +117,8 @@ def test_gates_match_hand_evaluation():
     fa = np.stack([lv.data for lv in A.levels])  # (N, L, C)
     for i in range(N):
         for j in range(L):
-            za = np.tanh((fa[i, j] + mq_a @ p.w_a1.data) @ p.w_a2.data)
-            ga = (za + mq_b @ p.w_a3.data) @ p.w_a4.data
+            za = np.tanh((fa[i, j] + mq_a @ p.w_a1.data) @ p.w_a2.data + mq_b @ p.w_a3.data)
+            ga = za @ p.w_a4.data
             assert np.allclose(maps.ga.data[i, j], ga[0], atol=1e-7)
     # softmax over levels column-wise
     e = np.exp(maps.ga.data - maps.ga.data.max(axis=0, keepdims=True))
@@ -148,6 +148,21 @@ def test_cross_modal_coupling_present_and_removable():
         m2 = MemoryState(m_a=m.m_a, m_b=Tensor(m.m_b.data + 5.0))
         moved = co_attention(A, B, m2, q, p).ga.data
         assert np.array_equal(base, moved)
+
+
+def test_other_memory_moves_both_attention_weights():
+    """The softmaxes cancel any per-row constant, so the other memory must act inside the gate."""
+    p, _, dims = _params(21)
+    A = _facts(80, 2, 3, dims["fact_dim"], "appearance")
+    B = _facts(81, 2, 3, dims["fact_dim"], "motion")
+    q = _question(82, dims["question_dim"])
+    m = _state(83, dims["memory_dim"])
+    base = co_attention(A, B, m, q, p)
+    moved_b = co_attention(A, B, MemoryState(m_a=m.m_a, m_b=Tensor(m.m_b.data + 1.0)), q, p)
+    moved_a = co_attention(A, B, MemoryState(m_a=Tensor(m.m_a.data + 1.0), m_b=m.m_b), q, p)
+    for got, want in ((moved_b.sa_levels, base.sa_levels), (moved_b.sa_steps, base.sa_steps),
+                      (moved_a.sb_levels, base.sb_levels), (moved_a.sb_steps, base.sb_steps)):
+        assert np.abs(got.data - want.data).max() > 1e-6
 
 
 def test_level_softmax_is_shift_invariant_along_levels():

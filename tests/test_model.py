@@ -27,7 +27,7 @@ def _rng(seed):
 
 
 def _random_batch(cfg, rng):
-    """A ``make_batch`` dict of ITEMS random items, questions of 4, 3 and 5 tokens."""
+    """A ``make_batch`` dict of ITEMS random answered items, questions of 4, 3 and 5 tokens."""
     questions = [list(rng.integers(0, cfg.vocab_size, size=n)) for n in (4, 3, 5)]
     candidates = None
     if cfg.task_kind().is_multiple_choice:
@@ -36,6 +36,7 @@ def _random_batch(cfg, rng):
     L = cfg.resolution
     batch = make_batch(rng.standard_normal((ITEMS, L, cfg.input_width_a)),
                        rng.standard_normal((ITEMS, L, cfg.input_width_b)), questions, candidates)
+    batch["answers"] = rng.integers(0, D.num_answers(cfg.task_kind(), cfg.answer_vocab), size=ITEMS)
     return batch, questions, candidates
 
 
@@ -130,7 +131,6 @@ def test_forward_loss_is_the_tested_head_loss(task):
     kind = cfg.task_kind()
     model = CoMemoryModel(cfg, seed=5, dtype=np.float64)
     batch, _, _ = _random_batch(cfg, _rng(50))
-    batch["answers"] = _rng(51).integers(0, D.num_answers(kind, cfg.answer_vocab), size=ITEMS)
     loss, preds = model.forward_loss(batch)
     out, _ = model._forward(batch)
     per_item = []
@@ -145,6 +145,18 @@ def test_forward_loss_is_the_tested_head_loss(task):
             per_item.append(D.cross_entropy_loss(Tensor(row), a).data)
     assert abs(float(loss.data) - np.mean(per_item)) <= 1e-12
     assert np.array_equal(preds, model.predict(batch))
+
+
+@pytest.mark.parametrize("task", ["trans", "frame"])
+def test_cross_modal_weights_get_real_gradients(task):
+    """``w_a3``/``w_b3`` move every attention weight, so their gradients are more than rounding noise."""
+    cfg = tiny_model_config(task)
+    model = CoMemoryModel(cfg, seed=0, dtype=np.float64)
+    batch, _, _ = _random_batch(cfg, _rng(60))
+    model.forward_loss(batch)[0].backward()
+    grads = {name: np.abs(p.grad).max() for name, p in model.store.items()}
+    largest = max(grads.values())
+    assert grads["comem.w_a3"] > 1e-4 * largest and grads["comem.w_b3"] > 1e-4 * largest
 
 
 @pytest.mark.parametrize("task", [t.value for t in D.TaskKind])
