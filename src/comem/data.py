@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .decoders import COUNT_MAX, NUM_CHOICES, TaskKind
+from .decoders import COUNT_MAX, NUM_CHOICES, TaskKind, num_answers
 from .errors import DomainError, FormatError
 
 MAGIC = b"CMF1"
@@ -139,9 +139,22 @@ class QAItem:
         return d
 
 
-def _validate_item(d: dict, lineno: int) -> QAItem:
+def _validate_item(d: dict, lineno: int, vocab_size: Optional[int] = None,
+                   answer_vocab: Optional[int] = None) -> QAItem:
+    """One QA line as a ``QAItem``; token ids and frame answers are bounded when the sizes are given."""
     def fail(msg):
         raise FormatError(f"line {lineno}: {msg}")
+
+    def check_range(value: int, top: Optional[int], what: str):
+        if value < 0 or (top is not None and value >= top):
+            fail(f"{what} {value} outside 0..{'' if top is None else top - 1}")
+
+    def tokens(seq, what: str) -> list[int]:
+        if not isinstance(seq, list) or not seq or not all(isinstance(t, int) for t in seq):
+            fail(f"{what} must be a non-empty list of token ids")
+        for t in seq:
+            check_range(t, vocab_size, f"{what} token id")
+        return list(seq)
 
     for key in ("id", "task", "video", "question", "answer"):
         if key not in d:
@@ -150,30 +163,24 @@ def _validate_item(d: dict, lineno: int) -> QAItem:
         task = TaskKind(d["task"])
     except ValueError:
         fail(f"unknown task {d['task']!r}")
-    question = d["question"]
-    if not isinstance(question, list) or not question or not all(isinstance(t, int) for t in question):
-        fail("question must be a non-empty list of token ids")
+    question = tokens(d["question"], "question")
     answer = d["answer"]
     if not isinstance(answer, int):
         fail("answer must be an integer")
     candidates = d.get("candidates")
     if task.is_multiple_choice:
-        if candidates is None or len(candidates) != NUM_CHOICES:
+        if not isinstance(candidates, list) or len(candidates) != NUM_CHOICES:
             fail(f"expected {NUM_CHOICES} candidates")
-        if not 0 <= answer < NUM_CHOICES:
-            fail(f"multiple-choice answer {answer} outside 0..{NUM_CHOICES - 1}")
-    else:
-        if candidates is not None:
-            fail("candidates only allowed for multiple-choice tasks")
-        if task is TaskKind.REPETITION_COUNT and not 0 <= answer <= COUNT_MAX:
-            fail(f"count answer {answer} outside 0..{COUNT_MAX}")
-        if task is TaskKind.FRAME_QA and answer < 0:
-            fail(f"frame answer {answer} must be non-negative")
-    return QAItem(id=d["id"], task=task, video=d["video"], question=list(question),
+        candidates = [tokens(c, f"candidate {k}") for k, c in enumerate(candidates)]
+    elif candidates is not None:
+        fail("candidates only allowed for multiple-choice tasks")
+    check_range(answer, num_answers(task, answer_vocab), f"{task.value} answer")
+    return QAItem(id=d["id"], task=task, video=d["video"], question=question,
                   answer=answer, candidates=candidates)
 
 
-def load_qa_file(path) -> list[QAItem]:
+def load_qa_file(path, vocab_size: Optional[int] = None, answer_vocab: Optional[int] = None) -> list[QAItem]:
+    """Validated QA items; ``vocab_size`` and ``answer_vocab`` bound token ids and frame answers."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
@@ -187,7 +194,7 @@ def load_qa_file(path) -> list[QAItem]:
             d = json.loads(line)
         except json.JSONDecodeError as e:
             raise FormatError(f"line {lineno}: invalid JSON ({e.msg})")
-        items.append(_validate_item(d, lineno))
+        items.append(_validate_item(d, lineno, vocab_size, answer_vocab))
     return items
 
 
@@ -453,7 +460,8 @@ class Dataset:
         self.manifest = _read_json(self.root / "manifest.json")
         self.vocab: dict[str, int] = _read_json(self.root / "vocab.json")
         self.items: dict[str, list[QAItem]] = {
-            split: load_qa_file(self.root / "qa" / f"{task.value}_{split}.jsonl") for split in SPLITS
+            split: load_qa_file(self.root / "qa" / f"{task.value}_{split}.jsonl", self.vocab_size, self.answer_vocab)
+            for split in SPLITS
         }
         self._features: dict[str, np.ndarray] = {}
 

@@ -71,9 +71,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def backward(self, grad: Optional[np.ndarray] = None):
         """Accumulate gradients of ``self`` into every reachable leaf."""
         if grad is None:
@@ -225,17 +222,6 @@ def sigmoid(a: Tensor) -> Tensor:
 
     def backward(g):
         _accumulate(a, g * data * (1.0 - data))
-
-    return _make(data, (a,), backward)
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0):
-        raise DomainError("log: input must be strictly positive")
-    data = np.log(a.data)
-
-    def backward(g):
-        _accumulate(a, g / a.data)
 
     return _make(data, (a,), backward)
 

@@ -35,7 +35,6 @@ class TrainConfig:
     levels: int = 3
     resolution: int = 34
     seed: int = 0
-    grad_clip: Optional[float] = None  # optional global-norm clip, off by default
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 1:
@@ -61,25 +60,19 @@ def adam_step(
     beta1: float = ADAM_BETA1,
     beta2: float = ADAM_BETA2,
     eps: float = ADAM_EPS,
-    grad_clip: Optional[float] = None,
 ):
     """Standard bias-corrected Adam over every parameter with a gradient.
 
     Parameters are visited in store insertion order, so accumulation and
-    updates are deterministic.  The global gradient norm is computed once;
-    when it is not finite, ``NumericError`` is raised before any parameter,
-    moment buffer or step count changes.  ``grad_clip`` rescales to that norm.
+    updates are deterministic.  When the global gradient norm is not finite,
+    ``NumericError`` is raised before any parameter, moment buffer or step
+    count changes.
     """
     norm = np.sqrt(sum(float(np.vdot(p.grad, p.grad)) for _, p in params.items() if p.grad is not None))
     if not np.isfinite(norm):
         raise NumericError(f"adam_step: global gradient norm is {norm} before step {state.step + 1}")
     state.step += 1
     t = state.step
-    if grad_clip is not None and norm > grad_clip:
-        factor = grad_clip / norm
-        for _, p in params.items():
-            if p.grad is not None:
-                p.grad *= factor
     correction = np.sqrt(1.0 - beta2 ** t) / (1.0 - beta1 ** t)
     for name, p in params.items():
         g = p.grad
@@ -139,7 +132,10 @@ def load_checkpoint(path) -> tuple[CoMemoryModel, dict]:
     fmt = manifest.get("format") if isinstance(manifest, dict) else None
     if fmt != CHECKPOINT_FORMAT:
         raise FormatError(f"{path}: unsupported checkpoint format {fmt!r}, expected {CHECKPOINT_FORMAT!r}")
-    blob_path = path.parent / _field(manifest, "blob", path)
+    blob_name = _field(manifest, "blob", path)
+    if not isinstance(blob_name, str) or blob_name in ("", "..") or Path(blob_name).name != blob_name:
+        raise FormatError(f"{path}: checkpoint blob {blob_name!r} is not a file name in the manifest's directory")
+    blob_path = path.parent / blob_name
     try:
         blob = blob_path.read_bytes()
     except OSError as e:
@@ -284,7 +280,7 @@ def train(
                 step_loss += value * len(sub)
                 # weight so accumulated gradients equal the full-batch mean
                 loss.backward(np.full_like(loss.data, len(sub) / len(chunk)))
-            adam_step(model.store, state, lr=cfg.learning_rate, grad_clip=cfg.grad_clip)
+            adam_step(model.store, state, lr=cfg.learning_rate)
             losses.append(step_loss / len(chunk))
         val_metric, _ = evaluate_model(model, dataset, split="val", batch_size=cfg.batch_size)
         entry = {

@@ -367,6 +367,35 @@ def test_dataset_missing_feature_file_is_format_error(small_dataset):
         ds.features(video)
 
 
+def _rewrite_first_item(root, task: str, **fields):
+    path = root / "qa" / f"{task}_train.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), **fields})
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("token", [-1, 999])
+def test_dataset_rejects_question_token_outside_vocabulary(small_dataset, token):
+    """-1 would wrap to the last embedding row and 999 would index past the table."""
+    _rewrite_first_item(small_dataset, "frame", question=[1, token])
+    with pytest.raises(FormatError, match=f"line 1: question token id {token} outside 0"):
+        Dataset(small_dataset, TaskKind.FRAME_QA)
+
+
+def test_dataset_rejects_candidate_token_outside_vocabulary(small_dataset):
+    vocab_size = len(json.loads((small_dataset / "vocab.json").read_text(encoding="utf-8")))
+    _rewrite_first_item(small_dataset, "trans", candidates=[[1]] * 4 + [[vocab_size]])
+    with pytest.raises(FormatError, match=f"candidate 4 token id {vocab_size} outside 0..{vocab_size - 1}"):
+        Dataset(small_dataset, TaskKind.STATE_TRANSITION)
+
+
+def test_dataset_rejects_frame_answer_outside_answer_vocabulary(small_dataset):
+    answer_vocab = json.loads((small_dataset / "manifest.json").read_text(encoding="utf-8"))["answer_vocab"]
+    _rewrite_first_item(small_dataset, "frame", answer=answer_vocab)
+    with pytest.raises(FormatError, match=f"frame answer {answer_vocab} outside 0..{answer_vocab - 1}"):
+        Dataset(small_dataset, TaskKind.FRAME_QA)
+
+
 def test_missing_qa_file_is_format_error(tmp_path):
     with pytest.raises(FormatError, match="nope.jsonl"):
         load_qa_file(tmp_path / "nope.jsonl")
