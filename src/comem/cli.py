@@ -12,12 +12,9 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .data import Dataset, SyntheticSpec, generate_dataset
 from .decoders import TaskKind
 from .errors import ComemError, ConfigError, DomainError, FormatError, NumericError
-from .model import CoMemoryModel, ModelConfig, tiny_model_config
 from .tensor import grad_check
 from .training import TrainConfig, evaluate_model, load_checkpoint, train, write_metric_log
 

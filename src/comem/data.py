@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Optional
 
@@ -78,18 +78,6 @@ class FeatureSequence:
     @property
     def width(self) -> int:
         return self.values.shape[1]
-
-
-def pad_or_truncate(seq: FeatureSequence, target: int = 34) -> FeatureSequence:
-    """Cut to the first ``target`` rows or right-pad with zero rows."""
-    if target < 1:
-        raise DomainError(f"pad_or_truncate: target must be >= 1, got {target}")
-    v = seq.values
-    if v.shape[0] >= target:
-        return FeatureSequence(v[:target].copy())
-    out = np.zeros((target, v.shape[1]), dtype=np.float32)
-    out[: v.shape[0]] = v
-    return FeatureSequence(out)
 
 
 def write_feature_file(path, seq: FeatureSequence):

@@ -9,12 +9,12 @@ per-step scalar gate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import tensor as T
-from .errors import DimensionError, DomainError, VocabularyError
+from .errors import DimensionError, DomainError
 from .tensor import ParameterStore, Tensor
 
 
@@ -57,41 +57,6 @@ class GruParams:
         )
 
 
-@dataclass
-class TokenEmbeddingTable:
-    """Vocabulary-indexed embedding rows (default width 300)."""
-
-    table: Tensor
-
-    @property
-    def vocab_size(self) -> int:
-        return self.table.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.table.data.shape[1]
-
-    @staticmethod
-    def create(store: ParameterStore, name: str, vocab_size: int, width: int = 300) -> "TokenEmbeddingTable":
-        return TokenEmbeddingTable(store.add(name, (vocab_size, width)))
-
-    def load_pretrained(self, path, token_to_id: dict[str, int]):
-        """Overwrite rows from a text file of lines ``word v1 ... vE``."""
-        width = self.width
-        loaded = 0
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                parts = line.rstrip("\n").split(" ")
-                if len(parts) != width + 1:
-                    raise DomainError(f"embedding line for {parts[0]!r} has {len(parts) - 1} values, expected {width}")
-                tid = token_to_id.get(parts[0])
-                if tid is None:
-                    continue
-                self.table.data[tid] = np.asarray([float(v) for v in parts[1:]], dtype=self.table.data.dtype)
-                loaded += 1
-        return loaded
-
-
 def gru_input_projection(x: Tensor, p: GruParams) -> Tensor:
     """``x @ [w_r | w_h] + [b_r | b_h]``: the fact encoder's input gemm for every step."""
     return T.affine(x, T.concat([p.w_r, p.w_h], axis=-1), T.concat([p.b_r, p.b_h], axis=-1))
@@ -131,33 +96,10 @@ def _run_gru_layer(xs: Tensor, p: GruParams, mask: np.ndarray | None) -> Tensor:
 def encode_token_batch(
     ids: np.ndarray,
     mask: np.ndarray,
-    table: TokenEmbeddingTable,
+    table: Tensor,
     layer1: GruParams,
     layer2: GruParams,
 ) -> Tensor:
-    """Two-layer GRU encoding of padded token ids ``(B, T)`` with 0/1 mask."""
-    emb = T.gather_rows(table.table, ids)
+    """Two-layer GRU encoding of padded token ids ``(B, T)`` with 0/1 mask; ``table`` is (V, E)."""
+    emb = T.gather_rows(table, ids)
     return T.last_step(_run_gru_layer(_run_gru_layer(emb, layer1, mask), layer2, mask))
-
-
-def _validate_tokens(tokens: Sequence[int], table: TokenEmbeddingTable):
-    if len(tokens) == 0:
-        raise DomainError("encode_question: empty token sequence")
-    for t in tokens:
-        if not 0 <= int(t) < table.vocab_size:
-            raise VocabularyError(f"token id {t} outside vocabulary of size {table.vocab_size}")
-
-
-def encode_question(
-    tokens: Sequence[int],
-    table: TokenEmbeddingTable,
-    layer1: GruParams,
-    layer2: GruParams,
-) -> Tensor:
-    """Embed tokens and run the two-layer GRU; returns the final layer-2 state."""
-    _validate_tokens(tokens, table)
-    ids = np.asarray(tokens, dtype=np.int64)[None, :]
-    mask = np.ones_like(ids, dtype=np.float64)
-    h = encode_token_batch(ids, mask, table, layer1, layer2)
-    return T.reshape(h, (h.data.shape[-1],))
-

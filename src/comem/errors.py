@@ -17,10 +17,6 @@ class DomainError(ComemError, ValueError):
     """An input value lies outside the documented domain."""
 
 
-class VocabularyError(ComemError, KeyError):
-    """A token id is not covered by the embedding table."""
-
-
 class FormatError(ComemError, ValueError):
     """A serialized artifact is malformed; the message names the field."""
 

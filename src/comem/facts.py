@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import tensor as T
 from .errors import DimensionError, DomainError, GeometryError
 from .tensor import ParameterStore, Tensor
@@ -42,10 +40,6 @@ class ContextualFactSet:
     @property
     def length(self) -> int:
         return self.levels[0].data.shape[-2]
-
-    @property
-    def channels(self) -> int:
-        return self.levels[0].data.shape[-1]
 
     def stacked(self) -> Tensor:
         """Levels stacked on a new axis before time: (..., N, L, C).
@@ -113,47 +107,3 @@ def build_contextual_facts(units: Tensor, p: PyramidParams, num_levels: int | No
         levels.append(x)
     return ContextualFactSet(levels=levels, modality=modality)
 
-
-def _dependency(base: int, n_level: int) -> np.ndarray:
-    """Boolean output-step x input-unit dependency matrix for one level."""
-
-    def conv_dep(length: int) -> np.ndarray:
-        m = np.zeros((length, length), dtype=bool)
-        for o in range(length):
-            lo, hi = max(0, o - 1), min(length, o + 2)
-            m[o, lo:hi] = True
-        return m
-
-    def pool_dep(length: int) -> np.ndarray:
-        lout = (length + 1) // 2
-        m = np.zeros((lout, length), dtype=bool)
-        for o in range(lout):
-            m[o, 2 * o : min(length, 2 * o + 2)] = True
-        return m
-
-    def deconv_dep(length_in: int, target: int) -> np.ndarray:
-        m = np.zeros((target, length_in), dtype=bool)
-        for i in range(length_in):
-            for r in range(DECONV_K):
-                o = 2 * i + r
-                if o < target:
-                    m[o, i] = True
-        return m
-
-    lengths = _level_lengths(base, n_level)
-    dep = conv_dep(base)
-    for lvl in range(2, n_level + 1):
-        dep = conv_dep(lengths[lvl - 1]) @ (pool_dep(lengths[lvl - 2]) @ dep)
-    for step in range(n_level - 1):
-        cur = lengths[n_level - 1 - step]
-        target = lengths[n_level - 2 - step]
-        dep = deconv_dep(cur, target) @ dep
-    return dep
-
-
-def receptive_field(level: int, p: PyramidParams, base_length: int = 34) -> int:
-    """Input units covered by one output step at ``level`` (max over steps)."""
-    if not 1 <= level <= p.num_levels:
-        raise DomainError(f"level {level} outside 1..{p.num_levels}")
-    dep = _dependency(base_length, level)
-    return int(dep.sum(axis=1).max())

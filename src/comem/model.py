@@ -10,7 +10,7 @@ import numpy as np
 from . import tensor as T
 from . import decoders as D
 from .decoders import DecoderParams, TaskKind
-from .encoders import GruParams, TokenEmbeddingTable, encode_token_batch
+from .encoders import GruParams, encode_token_batch
 from .errors import DomainError
 from .facts import PyramidParams, build_contextual_facts
 from .memory import CoMemoryParams, fact_projections, run_episodes
@@ -102,7 +102,7 @@ class CoMemoryModel:
         self.config = config
         self.store = ParameterStore(seed=seed, dtype=dtype)
         c = config
-        self.embedding = TokenEmbeddingTable.create(self.store, "embed", c.vocab_size, c.embed_dim)
+        self.embedding = self.store.add("embed", (c.vocab_size, c.embed_dim))
         self.q_gru1 = GruParams.create(self.store, "q_gru1", c.embed_dim, c.question_hidden)
         self.q_gru2 = GruParams.create(self.store, "q_gru2", c.question_hidden, c.question_hidden)
         self.pyramid_a = PyramidParams.create(self.store, "pyr_a", c.input_width_a, c.fact_channels, c.levels)

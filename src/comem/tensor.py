@@ -40,14 +40,11 @@ def no_grad():
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
+    def __init__(self, data, requires_grad=False):
         if isinstance(data, Tensor):
             data = data.data
         data = np.asarray(data)
-        if dtype is not None:
-            if data.dtype != dtype:
-                data = data.astype(dtype)
-        elif not np.issubdtype(data.dtype, np.floating):
+        if not np.issubdtype(data.dtype, np.floating):
             data = data.astype(DEFAULT_DTYPE)
         self.data = data
         self.grad: Optional[np.ndarray] = None
@@ -64,12 +61,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def item(self) -> float:
-        return float(self.data)
-
-    def zero_grad(self):
-        self.grad = None
 
     def backward(self, grad: Optional[np.ndarray] = None):
         """Accumulate gradients of ``self`` into every reachable leaf."""
@@ -524,14 +515,12 @@ def deconv1d_temporal(x: Tensor, K: Tensor, target_len: int) -> Tensor:
     return _make(data, (x, K), backward)
 
 
-def maxpool1d(x: Tensor, window: int = 2, stride: int = 2) -> Tensor:
-    """Temporal max pooling; odd tails pool a single element.
+def maxpool1d(x: Tensor) -> Tensor:
+    """Temporal max pooling with window 2 and stride 2; odd tails pool a single element.
 
     Gradient routes to the argmax; ties break to the earliest index.
     """
     _check_seq(x, "maxpool1d")
-    if window != 2 or stride != 2:
-        raise GeometryError("maxpool1d: only window=2, stride=2 is supported")
     L, C = x.data.shape[-2], x.data.shape[-1]
     lout = (L + 1) // 2
     if L % 2:
@@ -674,18 +663,6 @@ class ParameterStore:
         t = Tensor(data, requires_grad=True)
         self._params[name] = t
         return t
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def names(self):
-        return list(self._params)
 
     def items(self):
         return list(self._params.items())

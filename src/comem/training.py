@@ -5,13 +5,13 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, QAItem
+from .data import Dataset
 from .decoders import TaskKind
 from .errors import ConfigError, DomainError, FormatError, NumericError
 from .model import CoMemoryModel, ModelConfig
@@ -33,14 +33,13 @@ class TrainConfig:
     epochs: int = 50
     cycles: int = 2
     levels: int = 3
-    resolution: int = 34
     seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 1:
             raise DomainError("learning rate must be > 0 and counts positive")
-        if self.cycles < 1 or self.levels < 1 or self.resolution < 1:
-            raise DomainError("cycles, levels, and resolution must be positive")
+        if self.cycles < 1 or self.levels < 1:
+            raise DomainError("cycles and levels must be positive")
         TaskKind(self.task)
 
 
@@ -184,7 +183,7 @@ def model_config_for(dataset: Dataset, cfg: TrainConfig, dims: Optional[dict] = 
         input_width_a=sample[0].shape[1],
         input_width_b=sample[1].shape[1],
         answer_vocab=dataset.answer_vocab,
-        resolution=cfg.resolution,
+        resolution=sample[0].shape[0],
         levels=cfg.levels,
         cycles=cfg.cycles,
         **overrides,

@@ -20,7 +20,6 @@ from comem.data import (
     generate_dataset,
     generate_episode,
     load_qa_file,
-    pad_or_truncate,
     read_feature_file,
     split_of,
     write_feature_file,
@@ -86,21 +85,6 @@ def test_feature_rejects_invalid_values():
         FeatureSequence(np.zeros(5, dtype=np.float32))  # 1-d
     with pytest.raises(DomainError):
         FeatureSequence(np.full((2, 2), np.nan))
-
-
-def test_pad_or_truncate():
-    seq = FeatureSequence(np.arange(12, dtype=np.float32).reshape(6, 2))
-    cut = pad_or_truncate(seq, 4)
-    assert cut.values.shape == (4, 2)
-    assert np.array_equal(cut.values, seq.values[:4])
-    padded = pad_or_truncate(seq, 9)
-    assert padded.values.shape == (9, 2)
-    assert np.array_equal(padded.values[:6], seq.values)
-    assert np.all(padded.values[6:] == 0.0)
-    same = pad_or_truncate(seq, 6)
-    assert np.array_equal(same.values, seq.values)
-    with pytest.raises(DomainError):
-        pad_or_truncate(seq, 0)
 
 
 # -- QA file validation -----------------------------------------------------------

@@ -6,13 +6,11 @@ import pytest
 import comem.tensor as T
 from comem.encoders import (
     GruParams,
-    TokenEmbeddingTable,
     _run_gru_layer,
     attention_gru_encode,
-    encode_question,
     encode_token_batch,
 )
-from comem.errors import DimensionError, DomainError, VocabularyError
+from comem.errors import DimensionError, DomainError
 from comem.model import pad_token_batch
 from comem.tensor import ParameterStore, Tensor, grad_check
 
@@ -250,10 +248,17 @@ def test_attention_encode_gradients():
 
 def _encoder(seed, vocab=9, embed=4, hidden=5, dtype=np.float64):
     store = ParameterStore(seed=seed, dtype=dtype)
-    table = TokenEmbeddingTable.create(store, "emb", vocab, embed)
+    table = store.add("emb", (vocab, embed))
     l1 = GruParams.create(store, "l1", embed, hidden)
     l2 = GruParams.create(store, "l2", hidden, hidden)
     return table, l1, l2, store
+
+
+def _encode_question(tokens, table, l1, l2):
+    """One question's final layer-2 state, (H,), through the batched encoder."""
+    ids, mask = pad_token_batch([tokens])
+    h = encode_token_batch(ids, mask, table, l1, l2)
+    return T.reshape(h, (h.data.shape[-1],))
 
 
 def test_question_zero_params_is_zero():
@@ -261,44 +266,42 @@ def test_question_zero_params_is_zero():
     for name, t in store.items():
         if not name.startswith("emb"):
             t.data[...] = 0.0
-    q = encode_question([3], table, l1, l2)
+    q = _encode_question([3], table, l1, l2)
     assert np.allclose(q.data, 0.0)
 
 
 def test_question_output_width():
     store = ParameterStore(seed=1)
-    table = TokenEmbeddingTable.create(store, "emb", 20, 300)
+    table = store.add("emb", (20, 300))
     l1 = GruParams.create(store, "l1", 300, 512)
     l2 = GruParams.create(store, "l2", 512, 512)
-    q = encode_question([1, 2, 3], table, l1, l2)
+    q = _encode_question([1, 2, 3], table, l1, l2)
     assert q.data.shape == (512,)
 
 
 def test_question_matches_composed_gru_steps():
     table, l1, l2, _ = _encoder(7)
     tokens = [2, 5]
-    outs = Tensor(table.table.data[tokens])
+    outs = Tensor(table.data[tokens])
     for layer in (l1, l2):
         proj = T.affine(outs, T.concat([layer.w_z, layer.w_r, layer.w_h], axis=-1),
                         T.concat([layer.b_z, layer.b_r, layer.b_h], axis=-1))
         outs = _reference_scan(proj, T.concat([layer.u_z, layer.u_r], axis=-1), layer.u_h)
-    q = encode_question(tokens, table, l1, l2)
+    q = _encode_question(tokens, table, l1, l2)
     assert np.allclose(q.data, outs.data[-1], atol=1e-10)
 
 
 def test_question_depends_on_token_order():
     table, l1, l2, _ = _encoder(8)
-    q1 = encode_question([1, 2], table, l1, l2).data
-    q2 = encode_question([2, 1], table, l1, l2).data
+    q1 = _encode_question([1, 2], table, l1, l2).data
+    q2 = _encode_question([2, 1], table, l1, l2).data
     assert np.abs(q1 - q2).max() > 1e-9
 
 
 def test_question_validation_errors():
     table, l1, l2, _ = _encoder(9)
     with pytest.raises(DomainError):
-        encode_question([], table, l1, l2)
-    with pytest.raises(VocabularyError):
-        encode_question([99], table, l1, l2)
+        _encode_question([], table, l1, l2)
 
 
 def test_batched_encoding_matches_per_item_with_padding():
@@ -307,7 +310,7 @@ def test_batched_encoding_matches_per_item_with_padding():
     ids, mask = pad_token_batch(seqs)
     batched = encode_token_batch(ids, mask, table, l1, l2).data
     for i, s in enumerate(seqs):
-        single = encode_question(s, table, l1, l2).data
+        single = _encode_question(s, table, l1, l2).data
         assert np.allclose(batched[i], single, atol=1e-10)
 
 
@@ -315,23 +318,7 @@ def test_encoder_gradients():
     table, l1, l2, store = _encoder(12, vocab=6, embed=3, hidden=3)
 
     def f():
-        return T.tsum(T.square(encode_question([1, 4, 2], table, l1, l2)))
+        return T.tsum(T.square(_encode_question([1, 4, 2], table, l1, l2)))
 
     assert grad_check(f, store.tensors(), eps=1e-5, max_coords=3) <= 1e-4
 
-
-def test_pretrained_import_overwrites_rows(tmp_path):
-    table, l1, l2, _ = _encoder(13, vocab=4, embed=3)
-    path = tmp_path / "vectors.txt"
-    path.write_text("alpha 1.0 2.0 3.0\nmissing 0 0 0\n", encoding="utf-8")
-    n = table.load_pretrained(path, {"alpha": 2})
-    assert n == 1
-    assert np.allclose(table.table.data[2], [1.0, 2.0, 3.0])
-
-
-def test_pretrained_import_rejects_wrong_width(tmp_path):
-    table, l1, l2, _ = _encoder(14, vocab=4, embed=3)
-    path = tmp_path / "vectors.txt"
-    path.write_text("alpha 1.0 2.0\n", encoding="utf-8")
-    with pytest.raises(DomainError):
-        table.load_pretrained(path, {"alpha": 0})

@@ -9,7 +9,6 @@ from comem.facts import (
     ContextualFactSet,
     PyramidParams,
     build_contextual_facts,
-    receptive_field,
 )
 from comem.tensor import ParameterStore, Tensor, grad_check
 
@@ -128,32 +127,21 @@ def _perturbation_field(level, base_length, seed):
     return widest
 
 
-def test_receptive_field_level1_is_three():
-    p, _ = _pyramid(7, 2, 2, 3)
-    assert receptive_field(1, p, base_length=34) == 3
+# Input units one output step depends on at each level, at base length 16:
+# conv 3 taps, pool 2, deconv 3 taps at stride 2, composed as boolean
+# dependency matrices (max over output steps).
+ANALYTIC_RECEPTIVE_FIELD_16 = {1: 3, 2: 10, 3: 16}
 
 
-def test_receptive_field_matches_perturbation_oracle():
-    base_length = 16
-    p, _ = _pyramid(8, 2, 2, 3)
-    for level in (1, 2, 3):
-        analytic = receptive_field(level, p, base_length=base_length)
+def test_perturbation_field_within_analytic_receptive_field():
+    observed = []
+    for level, analytic in ANALYTIC_RECEPTIVE_FIELD_16.items():
         # the perturbation oracle measures the transpose quantity: how many
         # outputs depend on one input; max over inputs equals max fan-out,
         # which bounds and (for this symmetric geometry) matches max fan-in
-        observed = _perturbation_field(level, base_length, seed=8 + level)
-        assert observed <= analytic + 2  # dead-unit slack only shrinks it
-        assert observed >= 3
-    assert receptive_field(1, p, base_length=base_length) < receptive_field(2, p, base_length=base_length)
-    assert receptive_field(2, p, base_length=base_length) < receptive_field(3, p, base_length=base_length)
-
-
-def test_receptive_field_rejects_bad_level():
-    p, _ = _pyramid(9, 2, 2, 2)
-    with pytest.raises(DomainError):
-        receptive_field(0, p)
-    with pytest.raises(DomainError):
-        receptive_field(3, p)
+        observed.append(_perturbation_field(level, 16, seed=8 + level))
+        assert 3 <= observed[-1] <= analytic + 2  # dead-unit slack only shrinks it
+    assert observed == sorted(set(observed))  # context grows with every level
 
 
 def test_context_growth_under_single_unit_perturbation():

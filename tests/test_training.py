@@ -243,6 +243,14 @@ def test_model_config_reads_dataset_dimensions(data_dir):
     assert cfg.levels == 2
 
 
+def test_recorded_resolution_is_the_feature_length(tmp_path):
+    generate_dataset(SyntheticSpec(seed=22, length=20), 12, tmp_path / "d")
+    ds = Dataset(tmp_path / "d", TaskKind.FRAME_QA)
+    assert model_config_for(ds, _cfg("frame"), dims=TINY_DIMS).resolution == 20
+    train(_cfg("frame", epochs=1), tmp_path / "d", tmp_path / "m.ckpt", dims=TINY_DIMS)
+    assert load_checkpoint(tmp_path / "m.ckpt")[0].config.resolution == 20
+
+
 # -- training loop ------------------------------------------------------------------
 
 
