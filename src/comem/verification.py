@@ -22,15 +22,17 @@ def build_gradcheck_case(task: str, seed: int = 0, size: str = "tiny", batch: in
     """
     cfg = tiny_model_config(task) if size == "tiny" else default_check_config(task)
     model = CoMemoryModel(cfg, seed=seed, dtype=WIDE_DTYPE)
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed + 17)))
     kind = TaskKind(task)
+    # offset by the task's index: the multiple-choice tasks share one model and would draw the same inputs
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed + 17 + list(TaskKind).index(kind))))
     L = cfg.resolution
     features_a = rng.standard_normal((batch, L, cfg.input_width_a))
     features_b = rng.standard_normal((batch, L, cfg.input_width_b))
-    questions = [list(rng.integers(0, cfg.vocab_size, size=4)) for _ in range(batch)]
+    # variable lengths, so finite differences also pass through the padding mask
+    questions = [list(rng.integers(0, cfg.vocab_size, size=rng.integers(2, 6))) for _ in range(batch)]
     candidates = None
     if kind.is_multiple_choice:
-        flat = [list(rng.integers(0, cfg.vocab_size, size=2)) for _ in range(batch * NUM_CHOICES)]
+        flat = [list(rng.integers(0, cfg.vocab_size, size=rng.integers(1, 4))) for _ in range(batch * NUM_CHOICES)]
         candidates = [flat[i : i + NUM_CHOICES] for i in range(0, len(flat), NUM_CHOICES)]
     batch_dict = make_batch(features_a, features_b, questions, candidates)
     batch_dict["answers"] = rng.integers(0, num_answers(kind, cfg.answer_vocab), size=batch)

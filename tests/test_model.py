@@ -166,3 +166,10 @@ def test_every_parameter_is_read_by_the_forward_pass(task):
     f, params = build_gradcheck_case(task)
     f().backward()
     assert all(p.grad is not None for p in params)
+
+
+def test_gradcheck_cases_differ_per_task():
+    from comem.verification import build_gradcheck_case
+
+    losses = {float(build_gradcheck_case(task.value)[0]().data) for task in D.TaskKind}
+    assert len(losses) == len(D.TaskKind)
