@@ -98,9 +98,10 @@ def make_batch(features_a, features_b, questions, candidates=None) -> dict:
 class CoMemoryModel:
     """Owns the parameter store and runs task-specific forward passes."""
 
-    def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
+    def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32, values=None):
+        """Parameters are drawn from ``seed``, or taken from ``values`` (name -> array) when given."""
         self.config = config
-        self.store = ParameterStore(seed=seed, dtype=dtype)
+        self.store = ParameterStore(seed=seed, dtype=dtype, values=values)
         c = config
         self.embedding = self.store.add("embed", (c.vocab_size, c.embed_dim))
         self.q_gru1 = GruParams.create(self.store, "q_gru1", c.embed_dim, c.question_hidden)
@@ -117,6 +118,7 @@ class CoMemoryModel:
             self.fuse_w = self.store.add("fuse.w", (2 * c.question_hidden, c.question_hidden))
             self.fuse_b = self.store.add("fuse.b", (c.question_hidden,), init="zeros")
         self.decoder = DecoderParams.create(self.store, "dec", 2 * c.memory_dim, task, c.answer_vocab)
+        self.store.check_filled()
 
     # -- building blocks ---------------------------------------------------
 

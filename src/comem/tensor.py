@@ -67,7 +67,7 @@ class Tensor:
         if grad is None:
             grad = np.ones_like(self.data)
         order = _topo_order(self)
-        _accumulate(self, grad)
+        _accumulate(self, grad, shared=True)  # the caller keeps its array
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -120,14 +120,24 @@ def _topo_order(root: Tensor):
     return order
 
 
-def _accumulate(t: Tensor, g: np.ndarray):
+def _accumulate(t: Tensor, g: np.ndarray, shared: bool = False):
+    """Add ``g`` into ``t.grad``.
+
+    A first gradient becomes ``t.grad`` without a copy: backward closures
+    hand over arrays they have just computed, or views of their node's own
+    gradient, which nothing reads once that node's backward has run.  It is
+    copied when it is read-only (a broadcast view) or ``shared``, that is,
+    also handed to another tensor.
+    """
     if not (t.requires_grad or t._parents):
         return
-    g = _unbroadcast(g, t.data.shape)
-    if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype)  # copy: g may alias another buffer
+    reduced = _unbroadcast(g, t.data.shape)
+    if t.grad is not None:
+        t.grad += reduced
+    elif (shared and reduced is g) or not reduced.flags.writeable or reduced.dtype != t.data.dtype:
+        t.grad = np.array(reduced, dtype=t.data.dtype)
     else:
-        t.grad += g
+        t.grad = reduced
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -159,7 +169,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         _accumulate(a, g)
-        _accumulate(b, g)
+        _accumulate(b, g, shared=a.grad is g)  # copied only if ``a`` kept g itself
 
     return _make(data, (a, b), backward)
 
@@ -642,18 +652,31 @@ class ParameterStore:
 
     Insertion order is the canonical order for optimizer updates and
     checkpoint layout; it must be deterministic for a given model config.
+
+    Given ``values`` (name -> array), ``add`` takes each parameter from them
+    instead of drawing an initial value; the arrays become the parameters
+    without a copy when they are C-contiguous and of the store's dtype.
+    ``check_filled`` then reports values that no parameter took.
     """
 
-    def __init__(self, seed: int = 0, dtype=DEFAULT_DTYPE):
+    def __init__(self, seed: int = 0, dtype=DEFAULT_DTYPE, values: Optional[dict[str, np.ndarray]] = None):
         self._params: dict[str, Tensor] = {}
         self.dtype = dtype
-        self._rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+        self._values = None if values is None else dict(values)
+        self._rng = np.random.Generator(np.random.Philox(key=np.uint64(seed))) if values is None else None
 
     def add(self, name: str, shape, init: str = "auto") -> Tensor:
         if name in self._params:
             raise DomainError(f"parameter {name!r} already exists")
         shape = tuple(int(s) for s in shape)
-        if init == "zeros" or (init == "auto" and len(shape) < 2):
+        if self._values is not None:
+            if name not in self._values:
+                raise DomainError(f"parameter name mismatch: no value given for {name!r}")
+            data = np.asarray(self._values.pop(name))
+            if data.shape != shape:
+                raise DimensionError(f"parameter {name!r}: stored shape {data.shape} vs expected {shape}")
+            data = np.ascontiguousarray(data, dtype=self.dtype)
+        elif init == "zeros" or (init == "auto" and len(shape) < 2):
             data = np.zeros(shape, dtype=self.dtype)
         else:
             fan_in = int(np.prod(shape[:-1]))
@@ -677,16 +700,10 @@ class ParameterStore:
     def size(self) -> int:
         return sum(t.data.size for t in self._params.values())
 
-    def load_values(self, values: dict[str, np.ndarray]):
-        missing = set(self._params) - set(values)
-        extra = set(values) - set(self._params)
-        if missing or extra:
-            raise DomainError(f"parameter name mismatch: missing={sorted(missing)}, extra={sorted(extra)}")
-        for name, t in self._params.items():
-            v = np.asarray(values[name])
-            if v.shape != t.data.shape:
-                raise DimensionError(f"parameter {name!r}: stored shape {v.shape} vs expected {t.data.shape}")
-            t.data = v.astype(t.data.dtype)
+    def check_filled(self):
+        """Raise ``DomainError`` if given values were left without a parameter."""
+        if self._values:
+            raise DomainError(f"parameter name mismatch: extra={sorted(self._values)}")
 
 
 # -- verification ---------------------------------------------------------------

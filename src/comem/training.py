@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
@@ -21,8 +22,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# v2 dropped the fact GRUs' update-gate parameters, which the forward pass never read
-CHECKPOINT_FORMAT = "comem-checkpoint-v2"
+# v2 dropped the fact GRUs' update-gate parameters, which the forward pass never read;
+# v3 records the blob's sha256
+CHECKPOINT_FORMAT = "comem-checkpoint-v3"
 
 
 @dataclass
@@ -43,13 +45,23 @@ class TrainConfig:
         TaskKind(self.task)
 
 
+# elements per block of the Adam update: a block's operands and scratch stay in cache
+ADAM_BLOCK = 1 << 16
+
+
 class AdamState:
-    """First/second moment buffers keyed by parameter name."""
+    """First/second moment buffers keyed by parameter name, plus two scratch blocks.
+
+    The update is computed in float64, the dtype of the bias correction; the
+    other scratch block has the parameters' dtype.  Every step reuses both.
+    """
 
     def __init__(self, params: ParameterStore):
         self.step = 0
-        self.m = {name: np.zeros_like(t.data) for name, t in params.items()}
-        self.v = {name: np.zeros_like(t.data) for name, t in params.items()}
+        self.m = {name: np.zeros(t.data.shape, dtype=t.data.dtype) for name, t in params.items()}
+        self.v = {name: np.zeros(t.data.shape, dtype=t.data.dtype) for name, t in params.items()}
+        self._scratch = np.empty(ADAM_BLOCK, dtype=params.dtype)
+        self._update = np.empty(ADAM_BLOCK, dtype=np.float64)
 
 
 def adam_step(
@@ -63,30 +75,41 @@ def adam_step(
     """Standard bias-corrected Adam over every parameter with a gradient.
 
     Parameters are visited in store insertion order, so accumulation and
-    updates are deterministic.  When the global gradient norm is not finite,
-    ``NumericError`` is raised before any parameter, moment buffer or step
-    count changes.
+    updates are deterministic.  Moments and weights are updated in place,
+    block by block, in the operation order of
+    ``p -= lr * c * m / (sqrt(v) + eps)`` with ``m``, ``v`` decayed first;
+    gradients are left unchanged.  When the global gradient norm is not
+    finite, ``NumericError`` is raised before any parameter, moment buffer or
+    step count changes.
     """
     norm = np.sqrt(sum(float(np.vdot(p.grad, p.grad)) for _, p in params.items() if p.grad is not None))
     if not np.isfinite(norm):
         raise NumericError(f"adam_step: global gradient norm is {norm} before step {state.step + 1}")
     state.step += 1
     t = state.step
-    correction = np.sqrt(1.0 - beta2 ** t) / (1.0 - beta1 ** t)
+    step_size = lr * (np.sqrt(1.0 - beta2 ** t) / (1.0 - beta1 ** t))  # an np.float64
     for name, p in params.items():
         g = p.grad
-        m, v = state.m[name], state.v[name]
-        if g is None:
-            m *= beta1
-            v *= beta2
-            continue
-        if g.shape != p.data.shape:
+        if g is not None and g.shape != p.data.shape:
             raise DomainError(f"adam_step: gradient shape {g.shape} vs parameter {p.data.shape} for {name!r}")
+        if not p.data.flags.c_contiguous:
+            raise DomainError(f"adam_step: parameter {name!r} is not C-contiguous")
+        m, v = state.m[name].reshape(-1), state.v[name].reshape(-1)
         m *= beta1
-        m += (1.0 - beta1) * g
         v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p.data -= (lr * correction) * m / (np.sqrt(v) + eps)
+        if g is None:
+            continue
+        g, w = g.reshape(-1), p.data.reshape(-1)
+        for start in range(0, g.size, ADAM_BLOCK):
+            block = slice(start, start + ADAM_BLOCK)
+            gb, mb, vb = g[block], m[block], v[block]
+            tmp = state._scratch[: gb.size]
+            mb += np.multiply(gb, 1.0 - beta1, out=tmp)
+            np.multiply(gb, gb, out=tmp)
+            vb += np.multiply(tmp, 1.0 - beta2, out=tmp)
+            update = np.multiply(mb, step_size, out=state._update[: gb.size])
+            update /= np.add(np.sqrt(vb, out=tmp), eps, out=tmp)
+            w[block] -= update
 
 
 # -- checkpoints ---------------------------------------------------------------
@@ -95,16 +118,22 @@ def adam_step(
 def save_checkpoint(path, model: CoMemoryModel, train_config: TrainConfig, epoch: int, history: list[dict]):
     """Manifest JSON at ``path`` plus a float32 blob at ``path + '.bin'``.
 
-    Writes are atomic (temp file then rename).
+    Each parameter is written straight to the blob and hashed on the way; the
+    manifest records the blob's sha256.  Both files are written to a temp file
+    and renamed, the blob first.
     """
     path = Path(path)
-    entries, blobs, offset = [], [], 0
-    for name, t in model.store.items():
-        raw = np.ascontiguousarray(t.data, dtype="<f4").tobytes()
-        entries.append({"name": name, "shape": list(t.data.shape), "offset": offset, "nbytes": len(raw)})
-        blobs.append(raw)
-        offset += len(raw)
-    manifest = {
+    entries, offset, digest = [], 0, hashlib.sha256()
+    blob_tmp = path.with_name(path.name + ".bin.tmp")
+    with open(blob_tmp, "wb") as fh:
+        for name, t in model.store.items():
+            raw = np.ascontiguousarray(t.data, dtype="<f4")
+            digest.update(raw)
+            fh.write(raw)
+            entries.append({"name": name, "shape": list(t.data.shape), "offset": offset, "nbytes": raw.nbytes})
+            offset += raw.nbytes
+    os.replace(blob_tmp, path.with_name(path.name + ".bin"))
+    _write_manifest(path, {
         "format": CHECKPOINT_FORMAT,
         "model_config": model.config.to_dict(),
         "train_config": asdict(train_config),
@@ -113,16 +142,22 @@ def save_checkpoint(path, model: CoMemoryModel, train_config: TrainConfig, epoch
         "blob": path.name + ".bin",
         "parameters": entries,
         "total_bytes": offset,
-    }
-    blob_tmp = path.with_name(path.name + ".bin.tmp")
-    blob_tmp.write_bytes(b"".join(blobs))
-    os.replace(blob_tmp, path.with_name(path.name + ".bin"))
-    manifest_tmp = path.with_name(path.name + ".tmp")
-    manifest_tmp.write_text(json.dumps(manifest, sort_keys=True, indent=1), encoding="utf-8")
-    os.replace(manifest_tmp, path)
+        "sha256": digest.hexdigest(),
+    })
+
+
+def _write_manifest(path: Path, manifest: dict):
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(manifest, sort_keys=True, indent=1), encoding="utf-8")
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path) -> tuple[CoMemoryModel, dict]:
+    """The model and manifest of a checkpoint whose blob matches its recorded sha256.
+
+    Each parameter is read into its own array, and the model is built from
+    those arrays without drawing initial weights.
+    """
     path = Path(path)
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
@@ -135,30 +170,40 @@ def load_checkpoint(path) -> tuple[CoMemoryModel, dict]:
     if not isinstance(blob_name, str) or blob_name in ("", "..") or Path(blob_name).name != blob_name:
         raise FormatError(f"{path}: checkpoint blob {blob_name!r} is not a file name in the manifest's directory")
     blob_path = path.parent / blob_name
-    try:
-        blob = blob_path.read_bytes()
-    except OSError as e:
-        raise FormatError(f"{path}: unreadable checkpoint blob {blob_path} ({e})")
     total = _field(manifest, "total_bytes", path)
-    if len(blob) != total:
-        raise FormatError(f"{path}: blob has {len(blob)} bytes, manifest says {total}")
+    expected_sha = _field(manifest, "sha256", path)
     try:
         config = ModelConfig.from_dict(_field(manifest, "model_config", path))
     except TypeError as e:
         raise FormatError(f"{path}: bad model_config in checkpoint manifest ({e})")
-    model = CoMemoryModel(config, seed=0)
-    values = {}
-    for entry in _field(manifest, "parameters", path):
-        name = _field(entry, "name", path)
-        shape = tuple(_field(entry, "shape", path))
-        nbytes = _field(entry, "nbytes", path)
-        count = int(np.prod(shape)) if shape else 1
-        if nbytes != count * 4:
-            raise FormatError(f"{path}: parameter {name!r} has {nbytes} bytes, expected {count * 4}")
-        start = _field(entry, "offset", path)
-        values[name] = np.frombuffer(blob[start : start + nbytes], dtype="<f4").reshape(shape).copy()
-    model.store.load_values(values)
-    return model, manifest
+    values, offset, digest = {}, 0, hashlib.sha256()
+    try:
+        with open(blob_path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size != total:
+                raise FormatError(f"{path}: blob has {size} bytes, manifest says {total}")
+            for entry in _field(manifest, "parameters", path):
+                name = _field(entry, "name", path)
+                shape = tuple(_field(entry, "shape", path))
+                nbytes = _field(entry, "nbytes", path)
+                count = int(np.prod(shape)) if shape else 1
+                if nbytes != count * 4:
+                    raise FormatError(f"{path}: parameter {name!r} has {nbytes} bytes, expected {count * 4}")
+                if _field(entry, "offset", path) != offset:
+                    raise FormatError(f"{path}: parameter {name!r} does not start at blob byte {offset}")
+                value = np.empty(shape, dtype="<f4")
+                if fh.readinto(value) != nbytes:
+                    raise FormatError(f"{path}: blob ends inside parameter {name!r}")
+                digest.update(value)
+                values[name] = value
+                offset += nbytes
+    except OSError as e:
+        raise FormatError(f"{path}: unreadable checkpoint blob {blob_path} ({e})")
+    if offset != total:
+        raise FormatError(f"{path}: parameters cover {offset} of the blob's {total} bytes")
+    if digest.hexdigest() != expected_sha:
+        raise FormatError(f"{path}: blob sha256 {digest.hexdigest()} does not match the manifest's {expected_sha}")
+    return CoMemoryModel(config, values=values), manifest
 
 
 def _field(record, key: str, path):
@@ -267,7 +312,6 @@ def train(
         micro = _micro_batch_size(task, cfg.batch_size)
         for start in range(0, len(items), cfg.batch_size):
             chunk = [items[int(i)] for i in order[start : start + cfg.batch_size]]
-            model.store.zero_grad()
             step_loss = 0.0
             for ms in range(0, len(chunk), micro):
                 sub = chunk[ms : ms + micro]
@@ -279,7 +323,9 @@ def train(
                 step_loss += value * len(sub)
                 # weight so accumulated gradients equal the full-batch mean
                 loss.backward(np.full_like(loss.data, len(sub) / len(chunk)))
+                del loss, batch  # the tape and its gradients, before the next forward or the val pass
             adam_step(model.store, state, lr=cfg.learning_rate)
+            model.store.zero_grad()  # frees the gradients for the val pass and the checkpoint
             losses.append(step_loss / len(chunk))
         val_metric, _ = evaluate_model(model, dataset, split="val", batch_size=cfg.batch_size)
         entry = {
@@ -294,9 +340,13 @@ def train(
         if best is None or _better(task, val_metric, best):
             best = val_metric
             save_checkpoint(checkpoint_path, model, cfg, epoch, history)
-    # keep the recorded history complete in the (already best) manifest
-    best_model, manifest = load_checkpoint(checkpoint_path)
-    save_checkpoint(checkpoint_path, best_model, cfg, manifest["epoch"], history)
+    # Verify the best checkpoint by reloading it, with the training weights and
+    # Adam moments released first; its blob stays, and its manifest is
+    # rewritten only to record epochs that came after it.
+    del model, state
+    _, manifest = load_checkpoint(checkpoint_path)
+    if len(manifest["history"]) < len(history):
+        _write_manifest(Path(checkpoint_path), {**manifest, "history": history})
     return history
 
 

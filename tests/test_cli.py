@@ -119,6 +119,19 @@ def test_eval_missing_checkpoint_is_data_error(workspace):
     assert "error:" in r.stderr
 
 
+def test_eval_corrupt_checkpoint_blob_is_data_error(workspace):
+    torn = workspace / "torn"
+    torn.mkdir()
+    (torn / "frame.ckpt").write_bytes((workspace / "frame.ckpt").read_bytes())
+    raw = bytearray((workspace / "frame.ckpt.bin").read_bytes())
+    raw[len(raw) // 3] ^= 0x10
+    (torn / "frame.ckpt.bin").write_bytes(bytes(raw))
+    r = run_cli("eval", "--ckpt", "torn/frame.ckpt", "--data", "data", "--dump", "torn.jsonl", cwd=workspace)
+    assert r.returncode == 2
+    assert "sha256" in r.stderr
+    assert not (workspace / "torn.jsonl").exists()
+
+
 # -- inspect -----------------------------------------------------------------------
 
 

@@ -402,6 +402,36 @@ def test_backward_visits_shared_nodes_once():
     assert np.allclose(x.grad, [8.0])  # d(2x^2)/dx = 4x
 
 
+def test_add_gives_each_parent_its_own_gradient():
+    rng = _rng(15)
+    a = _param(rng.standard_normal((2, 3)))
+    b = _param(rng.standard_normal((2, 3)))
+    T.add(a, b).backward(rng.standard_normal((2, 3)))
+    assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
+    assert np.array_equal(a.grad, b.grad)
+    before = b.grad.copy()
+    T.tsum(T.square(a)).backward()  # a later accumulation into a only
+    assert np.array_equal(b.grad, before)
+    assert not np.array_equal(a.grad, before)
+
+
+def test_backward_does_not_take_the_callers_seed():
+    x = _param([1.0, 2.0])
+    seed = np.array([0.5, -1.0])
+    x.backward(seed)
+    x.backward(seed)
+    assert np.array_equal(seed, [0.5, -1.0])
+    assert np.array_equal(x.grad, [1.0, -2.0])
+
+
+def test_broadcast_tsum_gradient_is_copied_before_accumulation():
+    x = _param(np.ones((2, 3)))
+    T.tsum(x).backward()  # the first gradient x sees is a read-only broadcast view
+    assert x.grad.flags.writeable
+    T.tsum(T.scale(x, 2.0)).backward()
+    assert np.array_equal(x.grad, np.full((2, 3), 3.0))
+
+
 def test_finite_outputs_on_finite_inputs():
     rng = _rng(13)
     x = _param(rng.standard_normal((8, 4)) * 50)
@@ -454,10 +484,21 @@ def test_parameter_store_init_bound():
     assert np.abs(w.data).max() <= bound
 
 
-def test_load_values_validates_names_and_shapes():
-    s = ParameterStore()
+def test_given_values_validate_names_and_shapes():
+    s = ParameterStore(values={"w": np.zeros((2, 2)), "extra": np.zeros(1)})
     s.add("w", (2, 2))
-    with pytest.raises(DomainError):
-        s.load_values({"w": np.zeros((2, 2)), "extra": np.zeros(1)})
+    with pytest.raises(DomainError, match="extra"):
+        s.check_filled()
+    with pytest.raises(DomainError, match="'v'"):
+        ParameterStore(values={"w": np.zeros((2, 2))}).add("v", (2, 2))
     with pytest.raises(DimensionError):
-        s.load_values({"w": np.zeros((3, 2))})
+        ParameterStore(values={"w": np.zeros((3, 2))}).add("w", (2, 2))
+
+
+def test_given_values_become_the_parameters():
+    w = np.arange(6, dtype=np.float32).reshape(2, 3)
+    s = ParameterStore(values={"w": w, "b": np.ones(3)})
+    assert s.add("w", (2, 3)).data is w
+    b = s.add("b", (3,))
+    assert b.data.dtype == np.float32 and np.array_equal(b.data, np.ones(3))
+    s.check_filled()

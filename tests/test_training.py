@@ -1,5 +1,6 @@
 """Adam, checkpoint round-trips, and the deterministic training loop."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -97,6 +98,56 @@ def test_adam_rejects_non_finite_gradient_norm_before_any_update(bad):
     assert np.array_equal(a.grad, [0.1, -0.2, 0.3])
 
 
+def _reference_adam_step(params, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The textbook expression, one temporary per operation; the in-place step must match it bit for bit."""
+    state.step += 1
+    t = state.step
+    correction = np.sqrt(1.0 - beta2 ** t) / (1.0 - beta1 ** t)
+    for name, p in params.items():
+        g = p.grad
+        m, v = state.m[name], state.v[name]
+        if g is None:
+            m *= beta1
+            v *= beta2
+            continue
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        p.data -= (lr * correction) * m / (np.sqrt(v) + eps)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_in_place_step_matches_reference_expression(dtype):
+    stores, states = [], []
+    for _ in range(2):
+        store = ParameterStore(seed=9, dtype=dtype)
+        store.add("w", (6, 5))
+        store.add("k", (3, 4, 2))
+        store.add("unused", (7, 3))
+        store.add("b", (5,))
+        store.add("big", (3, 210, 250))  # more than two update blocks
+        stores.append(store)
+        states.append(AdamState(store))
+    rng = np.random.default_rng(3)
+    for step in range(5):
+        grads = {name: rng.standard_normal(t.data.shape).astype(dtype) * 10.0 ** (step - 2)
+                 for name, t in stores[0].items() if name != "unused"}
+        for store in stores:
+            for name, t in store.items():
+                t.grad = None if name == "unused" else grads[name].copy()
+        adam_step(stores[0], states[0], lr=0.01)
+        _reference_adam_step(stores[1], states[1], lr=0.01)
+        for name, t in stores[0].items():
+            assert t.grad is None if name == "unused" else np.array_equal(t.grad, grads[name]), name
+    for (name, a), (_, b) in zip(stores[0].items(), stores[1].items()):
+        assert a.data.dtype == dtype
+        assert np.array_equal(a.data, b.data), name
+        assert np.array_equal(states[0].m[name], states[1].m[name]), name
+        assert np.array_equal(states[0].v[name], states[1].v[name]), name
+    assert states[0].step == states[1].step == 5
+
+
 def test_adam_is_deterministic():
     results = []
     for _ in range(2):
@@ -155,11 +206,55 @@ def test_checkpoint_rejects_v1_format(tmp_path):
     path = tmp_path / "c.ckpt"
     save_checkpoint(path, _tiny_model(), TrainConfig(task="frame"), 1, [])
     manifest = json.loads(path.read_text())
-    assert manifest["format"] == "comem-checkpoint-v2"
+    assert manifest["format"] == "comem-checkpoint-v3"
     manifest["format"] = "comem-checkpoint-v1"  # v1 also held the fact GRUs' unused update gates
     path.write_text(json.dumps(manifest))
     with pytest.raises(FormatError, match="comem-checkpoint-v1"):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_v2_format(tmp_path):
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, _tiny_model(), TrainConfig(task="frame"), 1, [])
+    manifest = json.loads(path.read_text())
+    manifest["format"] = "comem-checkpoint-v2"  # v2 had no blob sha256
+    del manifest["sha256"]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match="comem-checkpoint-v2"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_manifest_holds_blob_sha256(tmp_path):
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, _tiny_model(), TrainConfig(task="frame"), 1, [])
+    blob = path.with_name("c.ckpt.bin").read_bytes()
+    assert json.loads(path.read_text())["sha256"] == hashlib.sha256(blob).hexdigest()
+
+
+def test_checkpoint_rejects_flipped_blob_byte(tmp_path):
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, _tiny_model(), TrainConfig(task="frame"), 1, [])
+    blob = path.with_name("c.ckpt.bin")
+    raw = bytearray(blob.read_bytes())
+    raw[len(raw) // 2] ^= 0x01
+    blob.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="sha256"):
+        load_checkpoint(path)
+
+
+def test_load_checkpoint_draws_no_initial_weights(tmp_path, monkeypatch):
+    path = tmp_path / "c.ckpt"
+    model = _tiny_model(seed=3)
+    save_checkpoint(path, model, TrainConfig(task="frame"), 1, [])
+
+    class NoDraws(np.random.Generator):
+        def uniform(self, *args, **kwargs):
+            raise AssertionError("load_checkpoint drew initial weights")
+
+    monkeypatch.setattr(np.random, "Generator", NoDraws)
+    loaded, _ = load_checkpoint(path)
+    for (n1, t1), (n2, t2) in zip(model.store.items(), loaded.store.items()):
+        assert n1 == n2 and np.array_equal(t1.data, t2.data)
 
 
 def test_checkpoint_blob_must_be_a_file_name_beside_the_manifest(tmp_path):
@@ -194,7 +289,7 @@ def test_checkpoint_missing_blob_is_format_error(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("key", ["total_bytes", "blob", "parameters", "model_config"])
+@pytest.mark.parametrize("key", ["total_bytes", "blob", "parameters", "model_config", "sha256"])
 def test_checkpoint_manifest_missing_key_is_format_error(tmp_path, key):
     path = tmp_path / "c.ckpt"
     save_checkpoint(path, _tiny_model(), TrainConfig(task="frame"), 1, [])
@@ -283,6 +378,32 @@ def test_train_smoke_writes_history_and_checkpoint(tmp_path, data_dir):
     lines = log.read_text().splitlines()
     assert lines[0] == "epoch,train_loss,val_metric,seconds"
     assert len(lines) == 3
+
+
+def test_train_saves_once_per_improved_epoch_and_records_the_whole_history(tmp_path, data_dir, monkeypatch):
+    import comem.training as training
+
+    saved_epochs = []
+    real_save = training.save_checkpoint
+
+    def counting_save(path, model, train_config, epoch, history):
+        saved_epochs.append(epoch)
+        real_save(path, model, train_config, epoch, history)
+
+    monkeypatch.setattr(training, "save_checkpoint", counting_save)
+    ckpt = tmp_path / "m.ckpt"
+    history = train(_cfg("frame", epochs=3, seed=1), data_dir, ckpt, dims=TINY_DIMS)
+    improved, best = [], None
+    for h in history:
+        if best is None or h["val_metric"] > best:
+            best = h["val_metric"]
+            improved.append(h["epoch"])
+    assert saved_epochs == improved
+    # an epoch after the best one, so the manifest is rewritten at the end
+    assert improved[-1] < 3
+    _, manifest = load_checkpoint(ckpt)
+    assert manifest["history"] == history
+    assert manifest["epoch"] == improved[-1]
 
 
 def test_same_seed_gives_identical_loss_curves(tmp_path, data_dir):
