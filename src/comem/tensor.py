@@ -2,8 +2,9 @@
 
 Values are numpy arrays; every differentiable operation records a backward
 closure on the tensors it produces.  ``Tensor.backward`` replays those
-closures in reverse topological order.  Training runs in float32; gradient
-checking builds float64 graphs (see ``grad_check``).
+closures in reverse topological order and frees the graph as it goes.
+Training runs in float32; gradient checking builds float64 graphs (see
+``grad_check``).
 
 All sequence operations accept an optional leading batch dimension: a
 "vector" argument may be shaped ``(n,)`` or ``(B, n)``, an ``L x C`` matrix
@@ -63,14 +64,24 @@ class Tensor:
         return self.data.dtype
 
     def backward(self, grad: Optional[np.ndarray] = None):
-        """Accumulate gradients of ``self`` into every reachable leaf."""
+        """Accumulate gradients of ``self`` into every reachable leaf.
+
+        A graph supports one backward: the walk frees each non-leaf node once
+        its backward has run, dropping its gradient, its closure (and the
+        forward arrays that holds) and its parents.  A second backward that
+        reaches a freed node raises ``DomainError``; leaf gradients stay.
+        """
         if grad is None:
             grad = np.ones_like(self.data)
         order = _topo_order(self)
         _accumulate(self, grad, shared=True)  # the caller keeps its array
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        while order:
+            node = order.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad, node._backward, node._parents = None, _freed, ()
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -103,6 +114,15 @@ def _lift(x, dtype) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
+def _on_tape(t: Tensor) -> bool:
+    """Whether gradients flow into ``t``: a leaf that asks for them, or a recorded node."""
+    return t.requires_grad or t._backward is not None
+
+
+def _freed(g):
+    raise DomainError("backward through a freed graph: a graph supports one backward")
+
+
 def _topo_order(root: Tensor):
     order, visited, stack = [], set(), [(root, False)]
     while stack:
@@ -127,15 +147,19 @@ def _accumulate(t: Tensor, g: np.ndarray, shared: bool = False):
     hand over arrays they have just computed, or views of their node's own
     gradient, which nothing reads once that node's backward has run.  It is
     copied when it is read-only (a broadcast view) or ``shared``, that is,
-    also handed to another tensor.
+    also handed to another tensor.  A leaf's first gradient is also copied
+    when it is not C-contiguous (a split or transposed view), so the
+    optimizer reads every leaf gradient in place.
     """
-    if not (t.requires_grad or t._parents):
+    if not _on_tape(t):
         return
     reduced = _unbroadcast(g, t.data.shape)
+    leaf = not t._parents
     if t.grad is not None:
         t.grad += reduced
-    elif (shared and reduced is g) or not reduced.flags.writeable or reduced.dtype != t.data.dtype:
-        t.grad = np.array(reduced, dtype=t.data.dtype)
+    elif ((shared and reduced is g) or not reduced.flags.writeable or reduced.dtype != t.data.dtype
+          or (leaf and not reduced.flags.c_contiguous)):
+        t.grad = np.array(reduced, dtype=t.data.dtype, order="C" if leaf else "K")
     else:
         t.grad = reduced
 
@@ -152,7 +176,7 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad or p._parents for p in parents):
+    if _grad_enabled and any(_on_tape(p) for p in parents):
         out._parents = tuple(parents)
         out._backward = backward
     return out
@@ -317,9 +341,9 @@ def matmul(x: Tensor, W: Tensor) -> Tensor:
 
     def backward(g):
         g2 = np.ascontiguousarray(g).reshape(-1, dout)
-        if x.requires_grad or x._parents:
+        if _on_tape(x):
             _accumulate(x, (g2 @ W.data.T).reshape(x.data.shape))
-        if W.requires_grad or W._parents:
+        if _on_tape(W):
             _accumulate(W, x2.T @ g2)
 
     return _make(data, (x, W), backward)
@@ -351,9 +375,9 @@ def mix_levels(s: Tensor, x: Tensor) -> Tensor:
 
     def backward(g):
         g_t = np.moveaxis(g, -2, -3)  # (..., L, K, D)
-        if x.requires_grad or x._parents:
+        if _on_tape(x):
             _accumulate(x, np.moveaxis(np.swapaxes(s_t, -1, -2) @ g_t, -3, -2))
-        if s.requires_grad or s._parents:
+        if _on_tape(s):
             _accumulate(s, np.moveaxis(g_t @ np.swapaxes(x_t, -1, -2), -3, -1))
 
     return _make(data, (s, x), backward)
@@ -365,7 +389,7 @@ def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
     data = table.data[ids]
 
     def backward(g):
-        if not (table.requires_grad or table._parents):
+        if not _on_tape(table):
             return
         if table.grad is None:
             table.grad = np.zeros_like(table.data)
@@ -468,9 +492,9 @@ def conv1d_temporal(x: Tensor, K: Tensor, stride: int = 1, pad: int = 0) -> Tens
 
     def backward(g):
         g2 = np.ascontiguousarray(g).reshape(-1, cout)
-        if K.requires_grad or K._parents:
+        if _on_tape(K):
             _accumulate(K, (cols2.T @ g2).reshape(k, cin, cout))
-        if x.requires_grad or x._parents:
+        if _on_tape(x):
             gcols = (g2 @ k2.T).reshape(cols.shape)
             gxp = np.zeros_like(xp)
             for r in range(k):
@@ -517,9 +541,9 @@ def deconv1d_temporal(x: Tensor, K: Tensor, target_len: int) -> Tensor:
         for r in range(k):
             g_taps[..., r, :] = g_raw[..., r : r + 2 * L : 2, :]
         g2 = g_taps.reshape(-1, k * cout)
-        if x.requires_grad or x._parents:
+        if _on_tape(x):
             _accumulate(x, (g2 @ kt.T).reshape(x.data.shape))
-        if K.requires_grad or K._parents:
+        if _on_tape(K):
             _accumulate(K, (x2.T @ g2).reshape(cin, k, cout).transpose(1, 0, 2))
 
     return _make(data, (x, K), backward)
@@ -590,7 +614,7 @@ def gru_scan(proj: Tensor, u_gates: Tensor, u_h: Tensor, gate: Optional[Tensor] 
     # step j of proj, gate and mask is a view at axis -2 / -1; states are step-major
     m = None if mask is None else np.asarray(mask, dtype=dtype)[..., None]
     parents = (proj, u_gates, u_h) + (() if gate is None else (gate,))
-    record = _grad_enabled and any(p.requires_grad or p._parents for p in parents)
+    record = _grad_enabled and any(_on_tape(p) for p in parents)
     states = (L,) + lead + (H,)
     hs = np.zeros((L + 1,) + states[1:], dtype=dtype)  # hs[j] is the state entering step j
     if record:
@@ -636,9 +660,9 @@ def gru_scan(proj: Tensor, u_gates: Tensor, u_h: Tensor, gate: Optional[Tensor] 
         if gate is not None:
             _accumulate(gate, np.moveaxis(dz_ext[..., 0], 0, -1))
         h_prev = hs[:-1].reshape(-1, H)
-        if u_gates.requires_grad or u_gates._parents:
+        if _on_tape(u_gates):
             _accumulate(u_gates, h_prev.T @ dproj[..., :G].reshape(-1, G))
-        if u_h.requires_grad or u_h._parents:
+        if _on_tape(u_h):
             _accumulate(u_h, (rs.reshape(-1, H) * h_prev).T @ dproj[..., G:].reshape(-1, H))
 
     return _make(data, parents, backward)

@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .data import Dataset
-from .decoders import TaskKind
+from .decoders import NUM_CHOICES, TaskKind
 from .errors import ConfigError, DomainError, FormatError, NumericError
 from .model import CoMemoryModel, ModelConfig
 from .tensor import ParameterStore
@@ -272,16 +272,39 @@ def evaluate(checkpoint_path, data_dir, split: str = "test", batch_size: int = 6
     return evaluate_model(model, dataset, split=split, batch_size=batch_size)
 
 
-def _micro_batch_size(task: TaskKind, batch_size: int) -> int:
-    """Graph chunk size for one optimizer step.
+# episode rows per forward/backward chunk: 16 multiple-choice items x 5 candidates, or 80 items
+MICRO_BATCH_ROWS = 80
 
-    Multiple-choice batches hold five candidate graphs at once, so they are
-    split into smaller forward/backward chunks with accumulated gradients;
-    the optimizer step and the resulting updates are unchanged.
+
+def _micro_batch_size(task: TaskKind) -> int:
+    """Items per forward/backward chunk of an optimizer step.
+
+    A chunk holds ``MICRO_BATCH_ROWS`` episode rows: a multiple-choice item
+    runs its ``NUM_CHOICES`` candidate questions through the memories, so it
+    counts that many rows.  The budget bounds the tape a chunk keeps while
+    letting every GEMM see as many rows as fit.  Gradients accumulate over the
+    chunks to the step's mean, so the update changes only in float summation
+    order.
     """
-    if task.is_multiple_choice:
-        return max(1, batch_size // 4)
-    return batch_size
+    return MICRO_BATCH_ROWS // NUM_CHOICES if task.is_multiple_choice else MICRO_BATCH_ROWS
+
+
+def _step_gradients(model: CoMemoryModel, dataset: Dataset, chunk: list, micro: int) -> float:
+    """Backward the mean loss of ``chunk``, ``micro`` items per graph; returns that mean.
+
+    Each piece's backward is weighted ``len(piece) / len(chunk)``, so the
+    parameters' accumulated gradients are those of the whole chunk's mean.
+    """
+    total = 0.0
+    for ms in range(0, len(chunk), micro):
+        sub = chunk[ms : ms + micro]
+        loss, _ = model.forward_loss(dataset.batch(sub))
+        value = float(loss.data)
+        if not np.isfinite(value):
+            raise NumericError(f"non-finite loss in the micro-batch starting at item {sub[0].id}")
+        total += value * len(sub)
+        loss.backward(np.full_like(loss.data, len(sub) / len(chunk)))
+    return total / len(chunk)
 
 
 def train(
@@ -303,30 +326,18 @@ def train(
     state = AdamState(model.store)
     shuffle_rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed)))
     items = dataset.items["train"]
+    micro = _micro_batch_size(task)
     history: list[dict] = []
     best: Optional[float] = None
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.time()
         order = shuffle_rng.permutation(len(items))
         losses = []
-        micro = _micro_batch_size(task, cfg.batch_size)
         for start in range(0, len(items), cfg.batch_size):
             chunk = [items[int(i)] for i in order[start : start + cfg.batch_size]]
-            step_loss = 0.0
-            for ms in range(0, len(chunk), micro):
-                sub = chunk[ms : ms + micro]
-                batch = dataset.batch(sub)
-                loss, _ = model.forward_loss(batch)
-                value = float(loss.data)
-                if not np.isfinite(value):
-                    raise NumericError(f"non-finite loss in epoch {epoch}, batch starting at item {start} ({sub[0].id})")
-                step_loss += value * len(sub)
-                # weight so accumulated gradients equal the full-batch mean
-                loss.backward(np.full_like(loss.data, len(sub) / len(chunk)))
-                del loss, batch  # the tape and its gradients, before the next forward or the val pass
+            losses.append(_step_gradients(model, dataset, chunk, micro))
             adam_step(model.store, state, lr=cfg.learning_rate)
             model.store.zero_grad()  # frees the gradients for the val pass and the checkpoint
-            losses.append(step_loss / len(chunk))
         val_metric, _ = evaluate_model(model, dataset, split="val", batch_size=cfg.batch_size)
         entry = {
             "epoch": epoch,

@@ -168,6 +168,16 @@ def test_every_parameter_is_read_by_the_forward_pass(task):
     assert all(p.grad is not None for p in params)
 
 
+@pytest.mark.parametrize("task", [t.value for t in D.TaskKind])
+def test_every_parameter_gradient_is_c_contiguous(task):
+    """The optimizer reads gradients flat; split and transposed views would be copied there twice."""
+    cfg = tiny_model_config(task)
+    model = CoMemoryModel(cfg, seed=2)
+    batch, _, _ = _random_batch(cfg, _rng(70))
+    model.forward_loss(batch)[0].backward()
+    assert [name for name, p in model.store.items() if not p.grad.flags.c_contiguous] == []
+
+
 def test_gradcheck_cases_differ_per_task():
     from comem.verification import build_gradcheck_case
 

@@ -455,6 +455,47 @@ def test_grad_shape_always_matches_data():
     assert x.grad.shape == x.data.shape
 
 
+def test_backward_frees_the_graph_and_keeps_leaf_gradients():
+    rng = _rng(16)
+    x = _param(rng.standard_normal((3, 4)))
+    W = _param(rng.standard_normal((4, 2)))
+    h = T.tanh(T.matmul(x, W))  # an intermediate the test holds
+    loss = T.tsum(T.square(h))
+    loss.backward()
+    for node in (h, loss):
+        assert node.grad is None and node._parents == ()
+    dh = 2.0 * h.data * (1.0 - h.data * h.data)  # the data survives the walk
+    assert np.allclose(W.grad, x.data.T @ dh, atol=1e-12)
+    assert np.allclose(x.grad, dh @ W.data.T, atol=1e-12)
+
+
+def test_second_backward_through_a_freed_graph_raises():
+    x = _param([1.0, -2.0, 0.5])
+    y = T.tanh(x)
+    T.tsum(T.square(y)).backward()
+    first = x.grad.copy()
+    with pytest.raises(DomainError, match="freed graph"):
+        T.tsum(T.scale(y, 3.0)).backward()
+    with pytest.raises(DomainError, match="freed graph"):
+        y.backward(np.ones(3))
+    assert np.array_equal(x.grad, first)
+    x.grad = None
+    T.tsum(T.scale(T.tanh(x), 3.0)).backward()  # a fresh forward records a new graph
+    assert np.allclose(x.grad, 3.0 * (1.0 - np.tanh(x.data) ** 2), atol=1e-12)
+
+
+def test_leaf_gradients_are_c_contiguous():
+    rng = _rng(17)
+    a = _param(rng.standard_normal((2, 3)))
+    b = _param(rng.standard_normal((2, 5)))
+    K = _param(rng.standard_normal((4, 3, 2)))  # deconv kernel: its gradient is a transposed view
+    T.tsum(T.square(T.deconv1d_temporal(Tensor(rng.standard_normal((6, 3))), K, 12))).backward()
+    T.tsum(T.square(T.concat([a, b], axis=-1))).backward()  # concat hands its parents column slices
+    for t in (a, b, K):
+        assert t.grad.flags.c_contiguous
+    assert np.allclose(a.grad, 2.0 * a.data) and np.allclose(b.grad, 2.0 * b.data)
+
+
 # -- parameter store ------------------------------------------------------------
 
 

@@ -15,6 +15,8 @@ from comem.training import (
     AdamState,
     TrainConfig,
     _metric_from_preds,
+    _micro_batch_size,
+    _step_gradients,
     adam_step,
     evaluate,
     evaluate_model,
@@ -418,6 +420,32 @@ def test_different_seed_changes_training(tmp_path, data_dir):
     h1 = train(_cfg("frame", seed=0), data_dir, tmp_path / "a.ckpt", dims=TINY_DIMS)
     h2 = train(_cfg("frame", seed=1), data_dir, tmp_path / "b.ckpt", dims=TINY_DIMS)
     assert [h["train_loss"] for h in h1] != [h["train_loss"] for h in h2]
+
+
+def test_micro_batches_hold_80_episode_rows():
+    for task in TaskKind:
+        assert _micro_batch_size(task) == (16 if task.is_multiple_choice else 80)
+
+
+def test_step_gradients_do_not_depend_on_the_chunking(data_dir):
+    """Float64: chunks of 1, 4, 5 (the last one ragged) and 16 items give the 16-item mean loss and gradients
+    up to summation order."""
+    ds = Dataset(data_dir, TaskKind.STATE_TRANSITION)
+    chunk = ds.items["train"][:16]
+    assert len(chunk) == 16
+    model = CoMemoryModel(model_config_for(ds, _cfg("trans"), dims=TINY_DIMS), seed=3, dtype=np.float64)
+    results = []
+    for micro in (1, 4, 5, 16):
+        model.store.zero_grad()
+        loss = _step_gradients(model, ds, chunk, micro)
+        results.append((loss, {name: p.grad.copy() for name, p in model.store.items()}))
+    loss16, grads16 = results[-1]
+    largest = max(np.abs(g).max() for g in grads16.values())
+    assert largest > 0.0
+    for loss, grads in results[:-1]:
+        assert abs(loss - loss16) <= 1e-12 * abs(loss16)
+        for name, g in grads.items():
+            assert np.abs(g - grads16[name]).max() <= 1e-12 * largest, name
 
 
 def test_multiple_choice_training_smoke(tmp_path, data_dir):
