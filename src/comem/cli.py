@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .data import Dataset, SyntheticSpec, generate_dataset
 from .decoders import TaskKind
-from .errors import ComemError, ConfigError, DomainError, FormatError, NumericError
+from .errors import ComemError, ConfigError, FormatError, NumericError
 from .tensor import grad_check
 from .training import TrainConfig, evaluate_model, load_checkpoint, train, write_metric_log
 
@@ -183,12 +183,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError,) as e:
+    except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (FormatError, DomainError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
     except NumericError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC

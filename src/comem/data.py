@@ -26,6 +26,7 @@ import numpy as np
 
 from .decoders import COUNT_MAX, NUM_CHOICES, TaskKind, num_answers
 from .errors import DomainError, FormatError
+from .model import make_batch
 
 MAGIC = b"CMF1"
 VERSION = 1
@@ -144,6 +145,8 @@ def _validate_item(d: dict, lineno: int, vocab_size: Optional[int] = None,
             check_range(t, vocab_size, f"{what} token id")
         return list(seq)
 
+    if not isinstance(d, dict):
+        fail(f"expected a JSON object, got {type(d).__name__}")
     for key in ("id", "task", "video", "question", "answer"):
         if key not in d:
             fail(f"missing field {key!r}")
@@ -186,12 +189,15 @@ def load_qa_file(path, vocab_size: Optional[int] = None, answer_vocab: Optional[
     return items
 
 
-def _read_json(path):
-    """A parsed JSON file; a missing, unreadable or malformed one is a ``FormatError``."""
+def _read_json_object(path) -> dict:
+    """A JSON file's top-level object; anything else, or an unreadable file, is a ``FormatError``."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        value = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as e:  # ValueError covers JSON and UTF-8 decoding
         raise FormatError(f"{path}: unreadable JSON file ({e})") from None
+    if not isinstance(value, dict):
+        raise FormatError(f"{path}: expected a JSON object, got {type(value).__name__}")
+    return value
 
 
 # -- synthetic generator -------------------------------------------------------
@@ -445,8 +451,10 @@ class Dataset:
     def __init__(self, root, task: TaskKind):
         self.root = Path(root)
         self.task = task
-        self.manifest = _read_json(self.root / "manifest.json")
-        self.vocab: dict[str, int] = _read_json(self.root / "vocab.json")
+        self.manifest = _read_json_object(self.root / "manifest.json")
+        self.vocab: dict[str, int] = _read_json_object(self.root / "vocab.json")
+        if not isinstance(self.manifest.get("answer_vocab", 0), int):
+            raise FormatError(f"{self.root / 'manifest.json'}: answer_vocab must be an integer")
         self.items: dict[str, list[QAItem]] = {
             split: load_qa_file(self.root / "qa" / f"{task.value}_{split}.jsonl", self.vocab_size, self.answer_vocab)
             for split in SPLITS
@@ -459,7 +467,7 @@ class Dataset:
 
     @property
     def answer_vocab(self) -> int:
-        return int(self.manifest.get("answer_vocab", 0))
+        return self.manifest.get("answer_vocab", 0)
 
     def features(self, video: str) -> tuple[np.ndarray, np.ndarray]:
         cached = self._features.get(video)
@@ -472,8 +480,6 @@ class Dataset:
 
     def batch(self, items: list[QAItem]) -> dict:
         """Assemble padded numpy arrays for one batch of items."""
-        from .model import make_batch
-
         feats = [self.features(i.video) for i in items]
         batch = make_batch([f[0] for f in feats], [f[1] for f in feats], [i.question for i in items],
                            [i.candidates for i in items] if self.task.is_multiple_choice else None)

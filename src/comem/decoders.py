@@ -114,9 +114,7 @@ def classify_word(m_h: Tensor, p: DecoderParams) -> Tensor:
 def cross_entropy_loss(logits: Tensor, target) -> Tensor:
     """Stable cross-entropy from raw logits against integer class targets."""
     target = np.asarray(target)
-    lse = T.logsumexp(logits, axis=-1)
-    picked = T.select_index(logits, target)
-    return lse - picked
+    return T.logsumexp(logits, axis=-1) - T.take(logits, (*np.indices(target.shape, sparse=True), target))
 
 
 def predict_word(m_h: Tensor, p: DecoderParams):
@@ -157,7 +155,8 @@ def task_loss(task: TaskKind, out: Tensor, answers) -> Tensor:
     if task.is_multiple_choice:
         slots = np.arange(out.data.shape[-1] - 1)
         wrong = slots + (slots >= answers[:, None])  # (B, K-1): every slot but the answer
-        return hinge_loss(T.select_index(out, answers), [T.select_index(out, w) for w in wrong.T])
+        rows = np.indices(answers.shape, sparse=True)
+        return hinge_loss(T.take(out, (*rows, answers)), [T.take(out, (*rows, w)) for w in wrong.T])
     if task is TaskKind.REPETITION_COUNT:
         return l2_count_loss(out, answers)
     return cross_entropy_loss(out, answers)

@@ -79,7 +79,7 @@ def attention_gru_encode(facts: Tensor, gates: Tensor, p: GruParams, projected: 
     if projected and facts.data.shape[-1] != 2 * H:
         raise DimensionError(f"attention_gru_encode: projected facts {facts.shape} need width {2 * H}")
     proj = facts if projected else gru_input_projection(facts, p)
-    return T.last_step(T.gru_scan(proj, p.u_r, p.u_h, gate=gates))
+    return T.take(T.gru_scan(proj, p.u_r, p.u_h, gate=gates), (..., -1, slice(None)))
 
 
 def _run_gru_layer(xs: Tensor, p: GruParams, mask: np.ndarray | None) -> Tensor:
@@ -101,5 +101,5 @@ def encode_token_batch(
     layer2: GruParams,
 ) -> Tensor:
     """Two-layer GRU encoding of padded token ids ``(B, T)`` with 0/1 mask; ``table`` is (V, E)."""
-    emb = T.gather_rows(table, ids)
-    return T.last_step(_run_gru_layer(_run_gru_layer(emb, layer1, mask), layer2, mask))
+    states = _run_gru_layer(_run_gru_layer(T.take(table, ids), layer1, mask), layer2, mask)
+    return T.take(states, (..., -1, slice(None)))

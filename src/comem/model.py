@@ -141,7 +141,7 @@ class CoMemoryModel:
         n_items, K = cand_ids.shape[:2]
         e = encode_token_batch(cand_ids.reshape(n_items * K, -1), cand_mask.reshape(n_items * K, -1),
                                self.embedding, self.q_gru1, self.q_gru2)
-        q_all = self._fuse_candidate(T.repeat_rows(q, K), e)
+        q_all = self._fuse_candidate(T.take(q, np.repeat(np.arange(n_items), K)), e)
         return T.reshape(q_all, (n_items, K, q_all.data.shape[-1]))
 
     def _forward(self, batch: dict):

@@ -281,24 +281,18 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(a.data.reshape(shape), (a,), backward)
 
 
-def repeat_rows(a: Tensor, n: int) -> Tensor:
-    """Repeat each row of axis 0 ``n`` times consecutively."""
-    data = np.repeat(a.data, n, axis=0)
+def take(x: Tensor, key) -> Tensor:
+    """``x[key]`` for any numpy index.
 
+    The backward scatter-adds straight into ``x.grad``, so repeated indices
+    accumulate and an existing gradient gets one add per element.
+    """
     def backward(g):
-        _accumulate(a, g.reshape((a.data.shape[0], n) + a.data.shape[1:]).sum(axis=1))
+        if x.grad is None:
+            x.grad = np.zeros(x.data.shape, dtype=x.data.dtype)
+        np.add.at(x.grad, key, g)
 
-    return _make(data, (a,), backward)
-
-
-def last_step(seq: Tensor) -> Tensor:
-    """``seq[..., -1, :]``: the final state of a (..., L, H) sequence."""
-    def backward(g):
-        full = np.zeros_like(seq.data)
-        full[..., -1, :] = g
-        _accumulate(seq, full)
-
-    return _make(seq.data[..., -1, :], (seq,), backward)
+    return _make(x.data[key], (x,), backward)
 
 
 def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
@@ -381,44 +375,6 @@ def mix_levels(s: Tensor, x: Tensor) -> Tensor:
             _accumulate(s, np.moveaxis(g_t @ np.swapaxes(x_t, -1, -2), -3, -1))
 
     return _make(data, (s, x), backward)
-
-
-def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Embedding lookup: rows of ``table[V, E]`` selected by integer ``ids``."""
-    ids = np.asarray(ids)
-    data = table.data[ids]
-
-    def backward(g):
-        if not _on_tape(table):
-            return
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
-
-    return _make(data, (table,), backward)
-
-
-def select_index(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Pick ``x[..., idx]`` along the last axis, one index per leading row."""
-    idx = np.asarray(idx)
-    if x.data.ndim == 1:
-        data = x.data[idx]
-
-        def backward(g):
-            gx = np.zeros_like(x.data)
-            gx[idx] = g
-            _accumulate(x, gx)
-
-    else:
-        rows = np.arange(x.data.shape[0])
-        data = x.data[rows, idx]
-
-        def backward(g):
-            gx = np.zeros_like(x.data)
-            gx[rows, idx] = g
-            _accumulate(x, gx)
-
-    return _make(data, (x,), backward)
 
 
 # -- reductions with stability ----------------------------------------------

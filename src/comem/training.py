@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, asdict
@@ -174,23 +175,35 @@ def load_checkpoint(path) -> tuple[CoMemoryModel, dict]:
     expected_sha = _field(manifest, "sha256", path)
     try:
         config = ModelConfig.from_dict(_field(manifest, "model_config", path))
-    except TypeError as e:
+        config.task_kind()
+    except (TypeError, ValueError) as e:
         raise FormatError(f"{path}: bad model_config in checkpoint manifest ({e})")
+    if not all(isinstance(v, int) for k, v in asdict(config).items() if k != "task"):
+        raise FormatError(f"{path}: checkpoint model_config dimensions must be integers")
+    entries = _field(manifest, "parameters", path)
+    if not isinstance(entries, list):
+        raise FormatError(f"{path}: checkpoint manifest's 'parameters' is not a list")
     values, offset, digest = {}, 0, hashlib.sha256()
     try:
         with open(blob_path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
             if size != total:
                 raise FormatError(f"{path}: blob has {size} bytes, manifest says {total}")
-            for entry in _field(manifest, "parameters", path):
+            for entry in entries:
                 name = _field(entry, "name", path)
-                shape = tuple(_field(entry, "shape", path))
+                shape = _field(entry, "shape", path)
+                if not isinstance(name, str) or not isinstance(shape, list) \
+                        or not all(isinstance(n, int) and n >= 0 for n in shape):
+                    raise FormatError(f"{path}: parameter {name!r} needs a string name and a list of sizes, "
+                                      f"got shape {shape!r}")
                 nbytes = _field(entry, "nbytes", path)
-                count = int(np.prod(shape)) if shape else 1
+                count = math.prod(shape)
                 if nbytes != count * 4:
                     raise FormatError(f"{path}: parameter {name!r} has {nbytes} bytes, expected {count * 4}")
                 if _field(entry, "offset", path) != offset:
                     raise FormatError(f"{path}: parameter {name!r} does not start at blob byte {offset}")
+                if offset + nbytes > total:
+                    raise FormatError(f"{path}: blob ends inside parameter {name!r}")
                 value = np.empty(shape, dtype="<f4")
                 if fh.readinto(value) != nbytes:
                     raise FormatError(f"{path}: blob ends inside parameter {name!r}")

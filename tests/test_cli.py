@@ -4,6 +4,7 @@ import filecmp
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -130,6 +131,16 @@ def test_eval_corrupt_checkpoint_blob_is_data_error(workspace):
     assert r.returncode == 2
     assert "sha256" in r.stderr
     assert not (workspace / "torn.jsonl").exists()
+
+
+def test_eval_non_object_qa_line_is_data_error(workspace, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    with open(data / "qa" / "frame_test.jsonl", "a", encoding="utf-8") as fh:
+        fh.write("null\n")
+    dump = tmp_path / "x.jsonl"
+    assert cli.main(["eval", "--ckpt", str(workspace / "frame.ckpt"), "--data", str(data), "--dump", str(dump)]) == 2
+    assert not dump.exists()
 
 
 # -- inspect -----------------------------------------------------------------------

@@ -154,6 +154,14 @@ def test_qa_rejects_candidates_on_open_tasks(tmp_path):
         load_qa_file(path)
 
 
+@pytest.mark.parametrize("value", [5, None, "id task video question answer"])
+def test_qa_rejects_lines_that_are_not_objects(tmp_path, value):
+    """A number or null is not a mapping, and ``in`` on a string tests substrings."""
+    path = _write_lines(tmp_path, [_good_mc(), value])
+    with pytest.raises(FormatError, match="line 2: expected a JSON object"):
+        load_qa_file(path)
+
+
 def test_qa_rejects_invalid_json_with_line_number(tmp_path):
     path = tmp_path / "qa.jsonl"
     path.write_text('{"id": "a"}\n{broken\n', encoding="utf-8")
@@ -340,6 +348,26 @@ def test_dataset_missing_vocab_is_format_error(small_dataset):
 def test_dataset_corrupt_manifest_is_format_error(small_dataset):
     (small_dataset / "manifest.json").write_text('{"episodes": 10,', encoding="utf-8")
     with pytest.raises(FormatError, match="manifest.json"):
+        Dataset(small_dataset, TaskKind.FRAME_QA)
+
+
+def test_dataset_manifest_must_be_an_object(small_dataset):
+    (small_dataset / "manifest.json").write_text("[1, 2]", encoding="utf-8")
+    with pytest.raises(FormatError, match="manifest.json: expected a JSON object"):
+        Dataset(small_dataset, TaskKind.FRAME_QA)
+
+
+def test_dataset_vocab_must_be_an_object(small_dataset):
+    (small_dataset / "vocab.json").write_text("5", encoding="utf-8")
+    with pytest.raises(FormatError, match="vocab.json: expected a JSON object"):
+        Dataset(small_dataset, TaskKind.FRAME_QA)
+
+
+def test_dataset_answer_vocab_must_be_an_integer(small_dataset):
+    path = small_dataset / "manifest.json"
+    path.write_text(json.dumps({**json.loads(path.read_text(encoding="utf-8")), "answer_vocab": "eight"}),
+                    encoding="utf-8")
+    with pytest.raises(FormatError, match="answer_vocab"):
         Dataset(small_dataset, TaskKind.FRAME_QA)
 
 

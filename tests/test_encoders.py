@@ -45,17 +45,7 @@ def _hand_gru(x, h, p):
 
 def _last_state(xs, p, mask=None):
     """Final state of one GRU layer over the rows of ``xs`` (one input per step)."""
-    return T.last_step(_run_gru_layer(Tensor(np.asarray(xs, dtype=np.float64)), p, mask))
-
-
-def _view(a, key):
-    """Test-only slicing op: ``a[key]``, its gradient scattered back into ``a``."""
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[key] = g
-        T._accumulate(a, full)
-
-    return T._make(a.data[key], (a,), backward)
+    return T.take(_run_gru_layer(Tensor(np.asarray(xs, dtype=np.float64)), p, mask), (..., -1, slice(None)))
 
 
 def _cols(start, stop):
@@ -68,15 +58,15 @@ def _reference_scan(proj, u_gates, u_h, gate=None, mask=None):
     h = Tensor(np.zeros(proj.data.shape[:-2] + (H,)))
     states = []
     for j in range(proj.data.shape[-2]):
-        px = _view(proj, (..., j, slice(None)))
+        px = T.take(proj, (..., j, slice(None)))
         hu = T.matmul(h, u_gates)
         if gate is None:
-            z = T.sigmoid(_view(px, _cols(0, H)) + _view(hu, _cols(0, H)))
-            r = T.sigmoid(_view(px, _cols(H, G)) + _view(hu, _cols(H, G)))
+            z = T.sigmoid(T.take(px, _cols(0, H)) + T.take(hu, _cols(0, H)))
+            r = T.sigmoid(T.take(px, _cols(H, G)) + T.take(hu, _cols(H, G)))
         else:
-            z = _view(gate, _cols(j, j + 1))
-            r = T.sigmoid(_view(px, _cols(0, H)) + hu)
-        h_cand = T.tanh(_view(px, _cols(G, G + H)) + T.matmul(T.mul(r, h), u_h))
+            z = T.take(gate, _cols(j, j + 1))
+            r = T.sigmoid(T.take(px, _cols(0, H)) + hu)
+        h_cand = T.tanh(T.take(px, _cols(G, G + H)) + T.matmul(T.mul(r, h), u_h))
         h_new = T.mul(z, h_cand) + T.mul(1.0 - z, h)
         if mask is not None:
             m = Tensor(mask[..., j : j + 1])

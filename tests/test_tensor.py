@@ -317,6 +317,10 @@ def test_primitive_gradients_match_finite_differences(seed):
     u_h = _param(rng.standard_normal((3, 3)))
     gate = _param(rng.uniform(0.0, 1.0, (2, 4)))
 
+    def take_twice():
+        y = T.tanh(x)  # the second take adds into the gradient the first one made
+        return T.tsum(T.mul(T.take(y, (slice(None), 1)), T.take(y, (np.arange(5), np.array([1, 1, 2, 0, 1])))))
+
     cases = [
         (lambda: T.tsum(T.tanh(T.affine(x, W, b))), [x, W, b]),
         (lambda: T.tsum(T.sigmoid(T.matmul(x, W))), [x, W]),
@@ -327,13 +331,15 @@ def test_primitive_gradients_match_finite_differences(seed):
         (lambda: T.tsum(T.square(T.maxpool1d(x))), [x]),
         (lambda: T.tsum(T.mul(T.relu(v), T.tanh(v))), [v]),
         (lambda: T.tsum(T.square(T.concat([v, v * 2.0]))), [v]),
-        (lambda: T.tsum(T.square(T.repeat_rows(x, 3))), [x]),
-        (lambda: T.tsum(T.square(T.last_step(levels))), [levels]),
+        (lambda: T.tsum(T.square(T.take(levels, (..., -1, slice(None))))), [levels]),
+        (lambda: T.tsum(T.square(T.take(x, (np.arange(5), np.array([0, 2, 1, 0, 2]))))), [x]),
+        (lambda: T.tsum(T.square(T.take(v, (np.array(4),)))), [v]),
+        (lambda: T.tsum(T.square(T.take(x, np.repeat(np.arange(5), 3)))), [x]),
+        (take_twice, [x]),
         (lambda: T.tsum(T.square(T.gru_scan(p_zrh, u_zr, u_h))), [p_zrh, u_zr, u_h]),
         (lambda: T.tsum(T.square(T.gru_scan(p_rh, u_r, u_h, gate=gate))), [p_rh, u_r, u_h, gate]),
         (lambda: T.tsum(T.square(T.stack([v, v * -1.0], axis=0))), [v]),
         (lambda: T.tsum(T.square(T.tmean(x, axis=0))), [x]),
-        (lambda: T.tsum(T.select_index(x, np.array([0, 2, 1, 0, 2]))), [x]),
         (lambda: T.tsum(T.square(T.mix_levels(s, levels))), [s, levels]),
     ]
     for f, tensors in cases:
@@ -372,10 +378,10 @@ def test_gru_scan_under_no_grad_records_nothing():
     assert quiet._parents == () and quiet._backward is None
 
 
-def test_gather_rows_gradient_accumulates_repeats():
+def test_take_gradient_accumulates_repeats():
     table = _param(np.arange(12, dtype=np.float64).reshape(4, 3))
     ids = np.array([1, 1, 3])
-    T.tsum(T.gather_rows(table, ids)).backward()
+    T.tsum(T.take(table, ids)).backward()
     expected = np.zeros((4, 3))
     expected[1] = 2.0
     expected[3] = 1.0

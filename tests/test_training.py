@@ -312,6 +312,37 @@ def test_checkpoint_parameter_entry_missing_key_is_format_error(tmp_path):
         load_checkpoint(path)
 
 
+def _mutated_manifest(tmp_path, mutate):
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, _tiny_model(), TrainConfig(task="frame"), 1, [])
+    manifest = json.loads(path.read_text())
+    mutate(manifest)
+    path.write_text(json.dumps(manifest))
+    return path
+
+
+@pytest.mark.parametrize("mutate, match", [
+    (lambda m: m.update(parameters=5), "parameters"),
+    (lambda m: m["parameters"][2].update(shape=5), "shape"),
+    (lambda m: m["parameters"][2].update(shape=["a"]), "shape"),
+    (lambda m: m["parameters"][2].update(name=["w"]), "name"),
+    (lambda m: m["model_config"].update(task="sort"), "model_config"),
+    (lambda m: m["model_config"].update(embed_dim=None), "model_config"),
+], ids=["parameters-int", "shape-int", "shape-str", "name-list", "unknown-task", "null-dim"])
+def test_checkpoint_manifest_bad_field_is_format_error(tmp_path, mutate, match):
+    with pytest.raises(FormatError, match=match):
+        load_checkpoint(_mutated_manifest(tmp_path, mutate))
+
+
+def test_checkpoint_parameter_past_the_blob_end_is_format_error(tmp_path):
+    """A parameter that claims more bytes than the blob holds fails before its array is allocated."""
+    def mutate(m):
+        m["parameters"][-1].update(shape=[2**31, 2**31], nbytes=2**64)
+
+    with pytest.raises(FormatError, match="blob ends inside"):
+        load_checkpoint(_mutated_manifest(tmp_path, mutate))
+
+
 # -- metrics / evaluation ----------------------------------------------------------
 
 
