@@ -150,6 +150,11 @@ def _validate_item(d: dict, lineno: int, vocab_size: Optional[int] = None,
     for key in ("id", "task", "video", "question", "answer"):
         if key not in d:
             fail(f"missing field {key!r}")
+    if not isinstance(d["id"], str):
+        fail("id must be a string")
+    video = d["video"]
+    if not isinstance(video, str) or video in ("", ".", "..") or any(c in video for c in "/\\\0"):
+        fail(f"video {video!r} is not a plain file-name stem")
     try:
         task = TaskKind(d["task"])
     except ValueError:
@@ -166,7 +171,7 @@ def _validate_item(d: dict, lineno: int, vocab_size: Optional[int] = None,
     elif candidates is not None:
         fail("candidates only allowed for multiple-choice tasks")
     check_range(answer, num_answers(task, answer_vocab), f"{task.value} answer")
-    return QAItem(id=d["id"], task=task, video=d["video"], question=question,
+    return QAItem(id=d["id"], task=task, video=video, question=question,
                   answer=answer, candidates=candidates)
 
 
@@ -455,6 +460,11 @@ class Dataset:
         self.vocab: dict[str, int] = _read_json_object(self.root / "vocab.json")
         if not isinstance(self.manifest.get("answer_vocab", 0), int):
             raise FormatError(f"{self.root / 'manifest.json'}: answer_vocab must be an integer")
+        spec = self.manifest.get("spec")
+        dims = [spec.get(key) for key in ("length", "d_a", "d_b")] if isinstance(spec, dict) else []
+        if len(dims) != 3 or not all(isinstance(n, int) for n in dims):
+            raise FormatError(f"{self.root / 'manifest.json'}: spec needs integer length, d_a and d_b")
+        self._feature_shapes = ((dims[0], dims[1]), (dims[0], dims[2]))  # appearance, motion
         self.items: dict[str, list[QAItem]] = {
             split: load_qa_file(self.root / "qa" / f"{task.value}_{split}.jsonl", self.vocab_size, self.answer_vocab)
             for split in SPLITS
@@ -470,12 +480,17 @@ class Dataset:
         return self.manifest.get("answer_vocab", 0)
 
     def features(self, video: str) -> tuple[np.ndarray, np.ndarray]:
+        """A video's appearance and motion features; each file is checked against the spec on first read."""
         cached = self._features.get(video)
         if cached is None:
-            a = read_feature_file(self.root / "features" / f"{video}_a.cmf").values
-            b = read_feature_file(self.root / "features" / f"{video}_b.cmf").values
-            cached = (a, b)
-            self._features[video] = cached
+            cached = []
+            for suffix, shape in zip("ab", self._feature_shapes):
+                path = self.root / "features" / f"{video}_{suffix}.cmf"
+                values = read_feature_file(path).values
+                if values.shape != shape:
+                    raise FormatError(f"{path}: features of shape {values.shape}, the manifest's spec says {shape}")
+                cached.append(values)
+            cached = self._features[video] = tuple(cached)
         return cached
 
     def batch(self, items: list[QAItem]) -> dict:

@@ -508,7 +508,8 @@ def deconv1d_temporal(x: Tensor, K: Tensor, target_len: int) -> Tensor:
 def maxpool1d(x: Tensor) -> Tensor:
     """Temporal max pooling with window 2 and stride 2; odd tails pool a single element.
 
-    Gradient routes to the argmax; ties break to the earliest index.
+    Gradient routes to the argmax; ties break to the earliest index, and as
+    with ``argmax`` the first NaN of a window wins.
     """
     _check_seq(x, "maxpool1d")
     L, C = x.data.shape[-2], x.data.shape[-1]
@@ -520,11 +521,14 @@ def maxpool1d(x: Tensor) -> Tensor:
     else:
         xp = x.data
     xr = xp.reshape(xp.shape[:-2] + (lout, 2, C))
-    idx = xr.argmax(axis=-2)
-    data = np.take_along_axis(xr, idx[..., None, :], axis=-2).squeeze(-2)
+    first, second = xr[..., 0, :], xr[..., 1, :]
+    take_first = first >= second
+    take_first |= np.isnan(first)
+    data = np.where(take_first, first, second)
 
     def backward(g):
         gp = np.zeros_like(xr)
+        idx = (~take_first).view(np.uint8)  # each window's argmax, 0 or 1
         np.put_along_axis(gp, idx[..., None, :], g[..., None, :], axis=-2)
         gp = gp.reshape(xp.shape)[..., :L, :]
         _accumulate(x, gp)
@@ -661,8 +665,12 @@ class ParameterStore:
         else:
             fan_in = int(np.prod(shape[:-1]))
             fan_out = shape[-1] if len(shape) == 2 else shape[0] * shape[-1]
-            s = np.sqrt(6.0 / (fan_in + fan_out))
-            data = self._rng.uniform(-s, s, size=shape).astype(self.dtype)
+            # uniform(-s, s) drawn in the store's dtype: for float64 these are
+            # exactly Generator.uniform's values, and float32 skips a float64 copy
+            s = np.dtype(self.dtype).type(np.sqrt(6.0 / (fan_in + fan_out)))
+            data = self._rng.random(shape, dtype=self.dtype)
+            data *= 2 * s
+            data -= s
         t = Tensor(data, requires_grad=True)
         self._params[name] = t
         return t

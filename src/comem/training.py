@@ -7,6 +7,7 @@ import json
 import math
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Optional
@@ -24,8 +25,12 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 # v2 dropped the fact GRUs' update-gate parameters, which the forward pass never read;
-# v3 records the blob's sha256
-CHECKPOINT_FORMAT = "comem-checkpoint-v3"
+# v3 recorded the blob's sha256; v4 records each parameter's sha256 instead
+CHECKPOINT_FORMAT = "comem-checkpoint-v4"
+
+# threads that run the Adam update and hash checkpoint parameters; two fill a
+# 2-core host, and the result does not depend on the count
+THREADS = 2
 
 
 @dataclass
@@ -51,18 +56,17 @@ ADAM_BLOCK = 1 << 16
 
 
 class AdamState:
-    """First/second moment buffers keyed by parameter name, plus two scratch blocks.
+    """First/second moment buffers keyed by parameter name, plus scratch blocks.
 
-    The update is computed in float64, the dtype of the bias correction; the
-    other scratch block has the parameters' dtype.  Every step reuses both.
+    Each of the ``THREADS`` update threads owns two scratch blocks of the
+    parameters' dtype, which every step reuses.
     """
 
     def __init__(self, params: ParameterStore):
         self.step = 0
         self.m = {name: np.zeros(t.data.shape, dtype=t.data.dtype) for name, t in params.items()}
         self.v = {name: np.zeros(t.data.shape, dtype=t.data.dtype) for name, t in params.items()}
-        self._scratch = np.empty(ADAM_BLOCK, dtype=params.dtype)
-        self._update = np.empty(ADAM_BLOCK, dtype=np.float64)
+        self._scratch = [np.empty((2, ADAM_BLOCK), dtype=params.dtype) for _ in range(THREADS)]
 
 
 def adam_step(
@@ -75,42 +79,52 @@ def adam_step(
 ):
     """Standard bias-corrected Adam over every parameter with a gradient.
 
-    Parameters are visited in store insertion order, so accumulation and
-    updates are deterministic.  Moments and weights are updated in place,
-    block by block, in the operation order of
-    ``p -= lr * c * m / (sqrt(v) + eps)`` with ``m``, ``v`` decayed first;
-    gradients are left unchanged.  When the global gradient norm is not
-    finite, ``NumericError`` is raised before any parameter, moment buffer or
-    step count changes.
+    Moments and weights are updated in place, in the parameters' dtype, in
+    the operation order of ``p -= s * m / (sqrt(v) + eps)`` with ``m``, ``v``
+    decayed first and the bias-corrected step size ``s`` rounded once to that
+    dtype; gradients are left unchanged.  The ``ADAM_BLOCK``-element blocks of
+    all parameters, in store insertion order, are dealt to ``THREADS``
+    threads in turn; each element is updated by one thread, so the result
+    does not depend on the thread count.  Every parameter is checked, and
+    when the global gradient norm is not finite ``NumericError`` is raised,
+    before any parameter, moment buffer or step count changes.
     """
-    norm = np.sqrt(sum(float(np.vdot(p.grad, p.grad)) for _, p in params.items() if p.grad is not None))
-    if not np.isfinite(norm):
-        raise NumericError(f"adam_step: global gradient norm is {norm} before step {state.step + 1}")
-    state.step += 1
-    t = state.step
-    step_size = lr * (np.sqrt(1.0 - beta2 ** t) / (1.0 - beta1 ** t))  # an np.float64
+    blocks = []  # (gradient or None, m, v, weights) per block
     for name, p in params.items():
         g = p.grad
         if g is not None and g.shape != p.data.shape:
             raise DomainError(f"adam_step: gradient shape {g.shape} vs parameter {p.data.shape} for {name!r}")
         if not p.data.flags.c_contiguous:
             raise DomainError(f"adam_step: parameter {name!r} is not C-contiguous")
-        m, v = state.m[name].reshape(-1), state.v[name].reshape(-1)
-        m *= beta1
-        v *= beta2
-        if g is None:
-            continue
-        g, w = g.reshape(-1), p.data.reshape(-1)
-        for start in range(0, g.size, ADAM_BLOCK):
+        m, v, w = state.m[name].reshape(-1), state.v[name].reshape(-1), p.data.reshape(-1)
+        g = None if g is None else g.reshape(-1)
+        for start in range(0, w.size, ADAM_BLOCK):
             block = slice(start, start + ADAM_BLOCK)
-            gb, mb, vb = g[block], m[block], v[block]
-            tmp = state._scratch[: gb.size]
-            mb += np.multiply(gb, 1.0 - beta1, out=tmp)
-            np.multiply(gb, gb, out=tmp)
-            vb += np.multiply(tmp, 1.0 - beta2, out=tmp)
-            update = np.multiply(mb, step_size, out=state._update[: gb.size])
-            update /= np.add(np.sqrt(vb, out=tmp), eps, out=tmp)
-            w[block] -= update
+            blocks.append((None if g is None else g[block], m[block], v[block], w[block]))
+    norm = np.sqrt(sum(float(np.vdot(p.grad, p.grad)) for _, p in params.items() if p.grad is not None))
+    if not np.isfinite(norm):
+        raise NumericError(f"adam_step: global gradient norm is {norm} before step {state.step + 1}")
+    state.step += 1
+    t = state.step
+    step_size = np.dtype(params.dtype).type(lr * (np.sqrt(1.0 - beta2 ** t) / (1.0 - beta1 ** t)))
+
+    def update(lane: int):
+        tmp_block, upd_block = state._scratch[lane]
+        for g, m, v, w in blocks[lane::THREADS]:
+            m *= beta1
+            v *= beta2
+            if g is None:
+                continue
+            tmp, upd = tmp_block[: g.size], upd_block[: g.size]
+            m += np.multiply(g, 1.0 - beta1, out=tmp)
+            np.multiply(g, g, out=tmp)
+            v += np.multiply(tmp, 1.0 - beta2, out=tmp)
+            np.multiply(m, step_size, out=upd)
+            upd /= np.add(np.sqrt(v, out=tmp), eps, out=tmp)
+            w -= upd
+
+    with ThreadPoolExecutor(THREADS) as pool:
+        list(pool.map(update, range(THREADS)))  # re-raises a thread's exception
 
 
 # -- checkpoints ---------------------------------------------------------------
@@ -119,20 +133,22 @@ def adam_step(
 def save_checkpoint(path, model: CoMemoryModel, train_config: TrainConfig, epoch: int, history: list[dict]):
     """Manifest JSON at ``path`` plus a float32 blob at ``path + '.bin'``.
 
-    Each parameter is written straight to the blob and hashed on the way; the
-    manifest records the blob's sha256.  Both files are written to a temp file
-    and renamed, the blob first.
+    Each parameter is written straight to the blob while ``THREADS`` threads
+    hash the parameters; the manifest records each one's sha256.  Both files
+    are written to a temp file and renamed, the blob first.
     """
     path = Path(path)
-    entries, offset, digest = [], 0, hashlib.sha256()
+    entries, digests, offset = [], [], 0
     blob_tmp = path.with_name(path.name + ".bin.tmp")
-    with open(blob_tmp, "wb") as fh:
+    with ThreadPoolExecutor(THREADS) as pool, open(blob_tmp, "wb") as fh:
         for name, t in model.store.items():
             raw = np.ascontiguousarray(t.data, dtype="<f4")
-            digest.update(raw)
+            digests.append(pool.submit(_sha256, raw))
             fh.write(raw)
             entries.append({"name": name, "shape": list(t.data.shape), "offset": offset, "nbytes": raw.nbytes})
             offset += raw.nbytes
+    for entry, digest in zip(entries, digests):
+        entry["sha256"] = digest.result()
     os.replace(blob_tmp, path.with_name(path.name + ".bin"))
     _write_manifest(path, {
         "format": CHECKPOINT_FORMAT,
@@ -143,8 +159,11 @@ def save_checkpoint(path, model: CoMemoryModel, train_config: TrainConfig, epoch
         "blob": path.name + ".bin",
         "parameters": entries,
         "total_bytes": offset,
-        "sha256": digest.hexdigest(),
     })
+
+
+def _sha256(array: np.ndarray) -> str:
+    return hashlib.sha256(array).hexdigest()  # releases the GIL while it hashes
 
 
 def _write_manifest(path: Path, manifest: dict):
@@ -154,10 +173,11 @@ def _write_manifest(path: Path, manifest: dict):
 
 
 def load_checkpoint(path) -> tuple[CoMemoryModel, dict]:
-    """The model and manifest of a checkpoint whose blob matches its recorded sha256.
+    """The model and manifest of a checkpoint whose parameters match their recorded sha256.
 
-    Each parameter is read into its own array, and the model is built from
-    those arrays without drawing initial weights.
+    Each parameter is read into its own array, hashed by one of ``THREADS``
+    threads while the next is read, and the model is built from those arrays
+    without drawing initial weights.
     """
     path = Path(path)
     try:
@@ -172,7 +192,6 @@ def load_checkpoint(path) -> tuple[CoMemoryModel, dict]:
         raise FormatError(f"{path}: checkpoint blob {blob_name!r} is not a file name in the manifest's directory")
     blob_path = path.parent / blob_name
     total = _field(manifest, "total_bytes", path)
-    expected_sha = _field(manifest, "sha256", path)
     try:
         config = ModelConfig.from_dict(_field(manifest, "model_config", path))
         config.task_kind()
@@ -183,9 +202,9 @@ def load_checkpoint(path) -> tuple[CoMemoryModel, dict]:
     entries = _field(manifest, "parameters", path)
     if not isinstance(entries, list):
         raise FormatError(f"{path}: checkpoint manifest's 'parameters' is not a list")
-    values, offset, digest = {}, 0, hashlib.sha256()
+    values, digests, offset = {}, [], 0
     try:
-        with open(blob_path, "rb") as fh:
+        with ThreadPoolExecutor(THREADS) as pool, open(blob_path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
             if size != total:
                 raise FormatError(f"{path}: blob has {size} bytes, manifest says {total}")
@@ -197,6 +216,7 @@ def load_checkpoint(path) -> tuple[CoMemoryModel, dict]:
                     raise FormatError(f"{path}: parameter {name!r} needs a string name and a list of sizes, "
                                       f"got shape {shape!r}")
                 nbytes = _field(entry, "nbytes", path)
+                expected_sha = _field(entry, "sha256", path)
                 count = math.prod(shape)
                 if nbytes != count * 4:
                     raise FormatError(f"{path}: parameter {name!r} has {nbytes} bytes, expected {count * 4}")
@@ -207,15 +227,17 @@ def load_checkpoint(path) -> tuple[CoMemoryModel, dict]:
                 value = np.empty(shape, dtype="<f4")
                 if fh.readinto(value) != nbytes:
                     raise FormatError(f"{path}: blob ends inside parameter {name!r}")
-                digest.update(value)
+                digests.append((name, expected_sha, pool.submit(_sha256, value)))
                 values[name] = value
                 offset += nbytes
     except OSError as e:
         raise FormatError(f"{path}: unreadable checkpoint blob {blob_path} ({e})")
     if offset != total:
         raise FormatError(f"{path}: parameters cover {offset} of the blob's {total} bytes")
-    if digest.hexdigest() != expected_sha:
-        raise FormatError(f"{path}: blob sha256 {digest.hexdigest()} does not match the manifest's {expected_sha}")
+    for name, expected_sha, digest in digests:
+        if digest.result() != expected_sha:
+            raise FormatError(f"{path}: parameter {name!r} has sha256 {digest.result()}, "
+                              f"the manifest records {expected_sha!r}")
     return CoMemoryModel(config, values=values), manifest
 
 

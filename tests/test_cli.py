@@ -15,6 +15,7 @@ import pytest
 import comem
 import comem.tensor as T
 from comem import cli
+from comem.data import FeatureSequence, write_feature_file
 
 CLI = [sys.executable, "-m", "comem.cli"]
 
@@ -141,6 +142,23 @@ def test_eval_non_object_qa_line_is_data_error(workspace, tmp_path):
     dump = tmp_path / "x.jsonl"
     assert cli.main(["eval", "--ckpt", str(workspace / "frame.ckpt"), "--data", str(data), "--dump", str(dump)]) == 2
     assert not dump.exists()
+
+
+@pytest.mark.parametrize("command, split", [("train", "val"), ("eval", "test")])
+def test_feature_file_of_the_wrong_shape_is_data_error(workspace, tmp_path, command, split):
+    """One ``_a.cmf`` of (20, 64) among (34, 64) files: exit 2 with the file named, not a traceback."""
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    video = json.loads((data / "qa" / f"frame_{split}.jsonl").read_text().splitlines()[0])["video"]
+    write_feature_file(data / "features" / f"{video}_a.cmf", FeatureSequence(np.zeros((20, 64), dtype=np.float32)))
+    if command == "train":
+        args = ["train", "--task", "frame", "--data", "data", "--out", "f.ckpt", "--epochs", "1", "--batch", "8"]
+    else:
+        args = ["eval", "--ckpt", str(workspace / "frame.ckpt"), "--data", "data", "--dump", "f.jsonl"]
+    r = run_cli(*args, cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert f"{video}_a.cmf: features of shape (20, 64)" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 # -- inspect -----------------------------------------------------------------------

@@ -162,6 +162,26 @@ def test_qa_rejects_lines_that_are_not_objects(tmp_path, value):
         load_qa_file(path)
 
 
+@pytest.mark.parametrize("value", [7, None, ["e0"]])
+def test_qa_rejects_an_id_that_is_not_a_string(tmp_path, value):
+    path = _write_lines(tmp_path, [{**_good_mc(), "id": value}])
+    with pytest.raises(FormatError, match="line 1: id must be a string"):
+        load_qa_file(path)
+
+
+@pytest.mark.parametrize("video", ["../../outside", "a/b", "/v0", "a\\b", ".", "..", "", "v\x000", 3, None])
+def test_qa_rejects_a_video_that_is_not_a_plain_file_name_stem(tmp_path, video):
+    """``Dataset.features`` joins the stem to ``features/``; nothing may lead it outside."""
+    path = _write_lines(tmp_path, [{**_good_mc(), "video": video}])
+    with pytest.raises(FormatError, match="line 1: video .* is not a plain file-name stem"):
+        load_qa_file(path)
+
+
+@pytest.mark.parametrize("video", ["v0", "...", "e000001", "clip.2"])
+def test_qa_accepts_plain_video_stems(tmp_path, video):
+    assert load_qa_file(_write_lines(tmp_path, [{**_good_mc(), "video": video}]))[0].video == video
+
+
 def test_qa_rejects_invalid_json_with_line_number(tmp_path):
     path = tmp_path / "qa.jsonl"
     path.write_text('{"id": "a"}\n{broken\n', encoding="utf-8")
@@ -377,6 +397,24 @@ def test_dataset_missing_feature_file_is_format_error(small_dataset):
     (small_dataset / "features" / f"{video}_b.cmf").unlink()
     with pytest.raises(FormatError, match=f"{video}_b.cmf"):
         ds.features(video)
+
+
+@pytest.mark.parametrize("suffix, shape", [("a", (20, 64)), ("b", (34, 63))])
+def test_dataset_checks_feature_shapes_against_the_spec(small_dataset, suffix, shape):
+    ds = Dataset(small_dataset, TaskKind.FRAME_QA)
+    video = ds.items["train"][0].video
+    write_feature_file(small_dataset / "features" / f"{video}_{suffix}.cmf",
+                       FeatureSequence(np.zeros(shape, dtype=np.float32)))
+    with pytest.raises(FormatError, match=rf"{video}_{suffix}.cmf: features of shape \({shape[0]}, {shape[1]}\)"):
+        ds.batch(ds.items["train"][:2])
+
+
+@pytest.mark.parametrize("spec", [None, [34, 64, 64], {"length": 34, "d_a": 64}, {"length": 34, "d_a": 64, "d_b": "64"}])
+def test_dataset_manifest_spec_needs_integer_feature_dimensions(small_dataset, spec):
+    path = small_dataset / "manifest.json"
+    path.write_text(json.dumps({**json.loads(path.read_text(encoding="utf-8")), "spec": spec}), encoding="utf-8")
+    with pytest.raises(FormatError, match="spec needs integer length, d_a and d_b"):
+        Dataset(small_dataset, TaskKind.FRAME_QA)
 
 
 def _rewrite_first_item(root, task: str, **fields):

@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from comem.data import MAGIC, VERSION, load_qa_file, read_feature_file
-from comem.errors import ComemError
+from comem.errors import ComemError, FormatError
 from comem.model import CoMemoryModel, tiny_model_config
-from comem.training import TrainConfig, load_checkpoint, save_checkpoint
+from comem.training import CHECKPOINT_FORMAT, TrainConfig, load_checkpoint, save_checkpoint
 
 FUZZ = settings(max_examples=150, deadline=None)
 
@@ -81,6 +81,22 @@ def test_qa_line_reader_raises_only_comem_errors(workdir, value, sizes):
     _read(load_qa_file, path, *sizes)
 
 
+@FUZZ
+@given(video=st.text(alphabet=st.sampled_from("./\\\0a"), max_size=6) | st.text(max_size=6) | JSON_VALUES)
+def test_a_loaded_video_names_a_file_inside_features(workdir, video):
+    """Whatever a QA line's ``video`` holds, an accepted one joins ``features/`` as a plain file name."""
+    path = workdir / "qa.jsonl"
+    line = {"id": "x", "task": "frame", "video": video, "question": [1], "answer": 0}
+    path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+    try:
+        item, = load_qa_file(path)
+    except FormatError:
+        return
+    features = workdir / "features"
+    assert item.video == video
+    assert (features / f"{item.video}_a.cmf").resolve().parent == features.resolve()
+
+
 # -- checkpoint manifests -----------------------------------------------------------
 
 
@@ -102,7 +118,7 @@ def _containers(node) -> list:
 
 DELETE = object()
 REPLACEMENTS = (st.just(DELETE) | JSON_VALUES | st.integers(-2, 2**70)
-                | st.sampled_from([[], {}, "", [2**31, 2**31], "comem-checkpoint-v3"]).map(copy.deepcopy))
+                | st.sampled_from([[], {}, "", [2**31, 2**31], CHECKPOINT_FORMAT]).map(copy.deepcopy))
 
 
 @FUZZ

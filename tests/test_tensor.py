@@ -201,6 +201,31 @@ def test_maxpool_gradient_tie_breaks_to_earliest():
     assert np.allclose(x.grad, [[1.0], [0.0]])
 
 
+def _argmax_maxpool(x: np.ndarray, g: np.ndarray):
+    """Window-2 max pooling by ``argmax`` over the window axis: output and input gradient."""
+    L = x.shape[-2]
+    xp = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(0, L % 2), (0, 0)], constant_values=-np.inf)
+    xr = xp.reshape(xp.shape[:-2] + (xp.shape[-2] // 2, 2, x.shape[-1]))
+    idx = xr.argmax(axis=-2)[..., None, :]
+    gp = np.zeros_like(xr)
+    np.put_along_axis(gp, idx, g[..., None, :], axis=-2)
+    return np.take_along_axis(xr, idx, axis=-2).squeeze(-2), gp.reshape(xp.shape)[..., :L, :]
+
+
+@pytest.mark.parametrize("length", [8, 7])
+def test_maxpool_matches_argmax_bit_for_bit_with_ties_and_nans(length):
+    """Ties go to the earlier index and the first NaN of a window wins, as with ``argmax``."""
+    rng = _rng(11)
+    x = rng.choice(np.array([-np.inf, -1.0, -0.0, 0.0, 2.0, np.inf, np.nan]), size=(3, length, 40))
+    g = rng.standard_normal((3, (length + 1) // 2, 40))
+    t = _param(x)
+    y = T.maxpool1d(t)
+    y.backward(g)
+    data, grad = _argmax_maxpool(x, g)
+    assert y.data.tobytes() == data.tobytes()
+    assert t.grad.tobytes() == grad.tobytes()
+
+
 # -- softmax / logsumexp ------------------------------------------------------------
 
 
@@ -529,6 +554,17 @@ def test_parameter_store_init_bound():
     w = s.add("w", (100, 50))
     bound = np.sqrt(6.0 / 150)
     assert np.abs(w.data).max() <= bound
+
+
+@pytest.mark.parametrize("shape", [(100, 50), (3, 7, 9), (1, 1)])
+def test_initial_weights_are_drawn_in_the_store_dtype(shape):
+    """Float64 stores draw exactly ``Generator.uniform``'s weights; float32 stores draw float32 in the bound."""
+    fan_in, fan_out = int(np.prod(shape[:-1])), shape[-1] if len(shape) == 2 else shape[0] * shape[-1]
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
+    w64 = ParameterStore(seed=4, dtype=np.float64).add("w", shape).data
+    assert w64.tobytes() == _rng(4).uniform(-bound, bound, size=shape).tobytes()
+    w32 = ParameterStore(seed=4, dtype=np.float32).add("w", shape).data
+    assert w32.dtype == np.float32 and np.abs(w32).max() <= np.float32(bound)
 
 
 def test_given_values_validate_names_and_shapes():

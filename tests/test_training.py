@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from comem.decoders import TaskKind
 from comem.errors import ConfigError, DomainError, FormatError, NumericError
 from comem.model import CoMemoryModel, ModelConfig
 from comem.tensor import ParameterStore
+from comem import training
 from comem.training import (
     AdamState,
     TrainConfig,
@@ -101,7 +104,11 @@ def test_adam_rejects_non_finite_gradient_norm_before_any_update(bad):
 
 
 def _reference_adam_step(params, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """The textbook expression, one temporary per operation; the in-place step must match it bit for bit."""
+    """The textbook expression, one temporary per operation; the in-place step must match it bit for bit.
+
+    The bias-corrected step size is rounded once to the parameters' dtype
+    (a no-op for float64), so a float32 step runs in float32 throughout.
+    """
     state.step += 1
     t = state.step
     correction = np.sqrt(1.0 - beta2 ** t) / (1.0 - beta1 ** t)
@@ -116,7 +123,7 @@ def _reference_adam_step(params, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         m += (1.0 - beta1) * g
         v *= beta2
         v += (1.0 - beta2) * (g * g)
-        p.data -= (lr * correction) * m / (np.sqrt(v) + eps)
+        p.data -= p.data.dtype.type(lr * correction) * m / (np.sqrt(v) + eps)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -148,6 +155,45 @@ def test_adam_in_place_step_matches_reference_expression(dtype):
         assert np.array_equal(states[0].m[name], states[1].m[name]), name
         assert np.array_equal(states[0].v[name], states[1].v[name]), name
     assert states[0].step == states[1].step == 5
+
+
+def _adam_run(threads: int, monkeypatch) -> list[np.ndarray]:
+    """Weights and moments after three float32 steps over 15 update blocks, with ``threads`` threads."""
+    monkeypatch.setattr(training, "THREADS", threads)
+    store = ParameterStore(seed=6, dtype=np.float32)
+    for name, shape in [("a", (5, 65536)), ("unused", (2, 70000)), ("b", (3, 50000)), ("c", (7,))]:
+        store.add(name, shape)
+    state = AdamState(store)
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        for name, t in store.items():
+            t.grad = None if name == "unused" else rng.standard_normal(t.data.shape).astype(np.float32)
+        adam_step(store, state, lr=0.01)
+    return [a for name, t in store.items() for a in (t.data, state.m[name], state.v[name])]
+
+
+@pytest.mark.parametrize("threads", [1, 5])
+def test_adam_update_does_not_depend_on_the_thread_count(monkeypatch, threads):
+    """One thread, or more threads than cores switching every microsecond, give the default's bits."""
+    expected = _adam_run(training.THREADS, monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _adam_run(threads, monkeypatch)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
+
+
+def test_no_thread_outlives_adam_or_checkpoint_io(tmp_path):
+    before = set(threading.enumerate())
+    store = ParameterStore(seed=1)
+    store.add("w", (3, 70000)).grad = np.ones((3, 70000), dtype=np.float32)
+    adam_step(store, AdamState(store))
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, _tiny_model(), TrainConfig(task="frame"), 1, [])
+    load_checkpoint(path)
+    assert set(threading.enumerate()) == before
 
 
 def test_adam_is_deterministic():
@@ -208,7 +254,7 @@ def test_checkpoint_rejects_v1_format(tmp_path):
     path = tmp_path / "c.ckpt"
     save_checkpoint(path, _tiny_model(), TrainConfig(task="frame"), 1, [])
     manifest = json.loads(path.read_text())
-    assert manifest["format"] == "comem-checkpoint-v3"
+    assert manifest["format"] == "comem-checkpoint-v4"
     manifest["format"] = "comem-checkpoint-v1"  # v1 also held the fact GRUs' unused update gates
     path.write_text(json.dumps(manifest))
     with pytest.raises(FormatError, match="comem-checkpoint-v1"):
@@ -219,18 +265,36 @@ def test_checkpoint_rejects_v2_format(tmp_path):
     path = tmp_path / "c.ckpt"
     save_checkpoint(path, _tiny_model(), TrainConfig(task="frame"), 1, [])
     manifest = json.loads(path.read_text())
-    manifest["format"] = "comem-checkpoint-v2"  # v2 had no blob sha256
-    del manifest["sha256"]
+    manifest["format"] = "comem-checkpoint-v2"  # v2 had no sha256 at all
+    for entry in manifest["parameters"]:
+        del entry["sha256"]
     path.write_text(json.dumps(manifest))
     with pytest.raises(FormatError, match="comem-checkpoint-v2"):
         load_checkpoint(path)
 
 
-def test_checkpoint_manifest_holds_blob_sha256(tmp_path):
+def test_checkpoint_rejects_v3_format(tmp_path):
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, _tiny_model(), TrainConfig(task="frame"), 1, [])
+    manifest = json.loads(path.read_text())
+    for entry in manifest["parameters"]:  # v3 recorded one sha256, of the whole blob
+        del entry["sha256"]
+    manifest["sha256"] = hashlib.sha256(path.with_name("c.ckpt.bin").read_bytes()).hexdigest()
+    manifest["format"] = "comem-checkpoint-v3"
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match="comem-checkpoint-v3"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_manifest_holds_each_parameter_sha256(tmp_path):
     path = tmp_path / "c.ckpt"
     save_checkpoint(path, _tiny_model(), TrainConfig(task="frame"), 1, [])
     blob = path.with_name("c.ckpt.bin").read_bytes()
-    assert json.loads(path.read_text())["sha256"] == hashlib.sha256(blob).hexdigest()
+    entries = json.loads(path.read_text())["parameters"]
+    assert len(entries) > 1
+    for entry in entries:
+        raw = blob[entry["offset"] : entry["offset"] + entry["nbytes"]]
+        assert entry["sha256"] == hashlib.sha256(raw).hexdigest(), entry["name"]
 
 
 def test_checkpoint_rejects_flipped_blob_byte(tmp_path):
@@ -238,9 +302,12 @@ def test_checkpoint_rejects_flipped_blob_byte(tmp_path):
     save_checkpoint(path, _tiny_model(), TrainConfig(task="frame"), 1, [])
     blob = path.with_name("c.ckpt.bin")
     raw = bytearray(blob.read_bytes())
-    raw[len(raw) // 2] ^= 0x01
+    flipped = len(raw) // 2
+    raw[flipped] ^= 0x01
     blob.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match="sha256"):
+    entry, = [e for e in json.loads(path.read_text())["parameters"]
+              if e["offset"] <= flipped < e["offset"] + e["nbytes"]]
+    with pytest.raises(FormatError, match=f"parameter '{entry['name']}' has sha256"):
         load_checkpoint(path)
 
 
@@ -249,11 +316,13 @@ def test_load_checkpoint_draws_no_initial_weights(tmp_path, monkeypatch):
     model = _tiny_model(seed=3)
     save_checkpoint(path, model, TrainConfig(task="frame"), 1, [])
 
-    class NoDraws(np.random.Generator):
-        def uniform(self, *args, **kwargs):
-            raise AssertionError("load_checkpoint drew initial weights")
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("load_checkpoint drew initial weights")
 
-    monkeypatch.setattr(np.random, "Generator", NoDraws)
+    draws = [name for name in dir(np.random.Generator)
+             if not name.startswith("_") and callable(getattr(np.random.Generator, name))]
+    assert {"random", "uniform", "standard_normal", "integers"} <= set(draws)
+    monkeypatch.setattr(np.random, "Generator", type("NoDraws", (np.random.Generator,), dict.fromkeys(draws, refuse)))
     loaded, _ = load_checkpoint(path)
     for (n1, t1), (n2, t2) in zip(model.store.items(), loaded.store.items()):
         assert n1 == n2 and np.array_equal(t1.data, t2.data)
@@ -291,7 +360,7 @@ def test_checkpoint_missing_blob_is_format_error(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("key", ["total_bytes", "blob", "parameters", "model_config", "sha256"])
+@pytest.mark.parametrize("key", ["total_bytes", "blob", "parameters", "model_config"])
 def test_checkpoint_manifest_missing_key_is_format_error(tmp_path, key):
     path = tmp_path / "c.ckpt"
     save_checkpoint(path, _tiny_model(), TrainConfig(task="frame"), 1, [])
@@ -309,6 +378,16 @@ def test_checkpoint_parameter_entry_missing_key_is_format_error(tmp_path):
     del manifest["parameters"][3]["offset"]
     path.write_text(json.dumps(manifest))
     with pytest.raises(FormatError, match="offset"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_parameter_entry_missing_sha256_is_format_error(tmp_path):
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, _tiny_model(), TrainConfig(task="frame"), 1, [])
+    manifest = json.loads(path.read_text())
+    del manifest["parameters"][-1]["sha256"]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match="sha256"):
         load_checkpoint(path)
 
 
