@@ -75,7 +75,6 @@ def _build_parser() -> _Parser:
     ins.add_argument("--out", required=True)
 
     gc = sub.add_parser("gradcheck", help="finite-difference check of the full model")
-    gc.add_argument("--config", default="tiny", choices=["tiny", "default"])
     gc.add_argument("--seed", type=int, default=0)
     return parser
 
@@ -149,21 +148,20 @@ def _cmd_inspect(args) -> int:
     return EXIT_OK
 
 
-def full_model_gradcheck(config: str = "tiny", seed: int = 0, max_coords: int = 2) -> float:
-    """Finite-difference check across all four task losses; returns max error."""
+def full_model_gradcheck(seed: int = 0, max_coords: int = 2) -> float:
+    """Finite-difference check of the tiny model across all four task losses; returns max error."""
     from .verification import build_gradcheck_case
 
     worst = 0.0
     for task in TaskKind:
-        f, tensors = build_gradcheck_case(task.value, seed=seed, size=config)
+        f, tensors = build_gradcheck_case(task.value, seed=seed)
         worst = max(worst, grad_check(f, tensors, eps=1e-4, max_coords=max_coords, seed=seed))
     return worst
 
 
 def _cmd_gradcheck(args) -> int:
-    err = full_model_gradcheck(config=args.config, seed=args.seed)
-    _echo_config(f"gradcheck_{args.config}_{args.seed}.config.json",
-                 {"command": "gradcheck", "config": args.config, "seed": args.seed})
+    err = full_model_gradcheck(seed=args.seed)
+    _echo_config(f"gradcheck_{args.seed}.config.json", {"command": "gradcheck", "seed": args.seed})
     print(f"max relative error: {err:.3e}")
     return EXIT_OK if err <= GRADCHECK_TOLERANCE else EXIT_NUMERIC
 

@@ -9,77 +9,53 @@ per-step scalar gate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import tensor as T
-from .errors import DimensionError, DomainError
+from .errors import DomainError
 from .tensor import ParameterStore, Tensor
 
 
 @dataclass
 class GruParams:
-    """Reset / candidate parameters of one GRU cell, and its update gate's if it has one.
+    """One GRU cell's weights, one parameter per block.
 
-    The fact encoder's update gate is external (``attention_gru_encode``), so
-    its cells are created without ``w_z`` / ``u_z`` / ``b_z``.
+    ``w`` (D, 3H) and ``b`` (3H,) are the input weights and biases
+    ``[z | r | h]``, ``u_gates`` (H, 2H) is ``[u_z | u_r]``.  The fact
+    encoder's update gate is external (``attention_gru_encode``), so its
+    cells hold only the ``[r | h]`` blocks, (D, 2H) and (2H,), and ``u_r``.
     """
 
-    w_r: Tensor
-    u_r: Tensor
-    b_r: Tensor
-    w_h: Tensor
+    w: Tensor
+    b: Tensor
+    u_gates: Tensor
     u_h: Tensor
-    b_h: Tensor
-    w_z: Optional[Tensor] = None
-    u_z: Optional[Tensor] = None
-    b_z: Optional[Tensor] = None
-
-    @property
-    def hidden_size(self) -> int:
-        return self.u_h.data.shape[1]
 
     @staticmethod
     def create(store: ParameterStore, prefix: str, input_size: int, hidden_size: int,
                update_gate: bool = True) -> "GruParams":
-        def mat(name, din):
-            return store.add(f"{prefix}.{name}", (din, hidden_size))
-
-        def bias(name):
-            return store.add(f"{prefix}.{name}", (hidden_size,), init="zeros")
-
-        # z is drawn first, so a cell with an update gate keeps the z, r, h parameter order
-        z = dict(w_z=mat("w_z", input_size), u_z=mat("u_z", hidden_size), b_z=bias("b_z")) if update_gate else {}
+        H, gates = hidden_size, 3 if update_gate else 2
+        # fan_out=H gives every H-wide gate block its own Glorot bound
         return GruParams(
-            w_r=mat("w_r", input_size), u_r=mat("u_r", hidden_size), b_r=bias("b_r"),
-            w_h=mat("w_h", input_size), u_h=mat("u_h", hidden_size), b_h=bias("b_h"), **z,
+            w=store.add(f"{prefix}.w", (input_size, gates * H), fan_out=H),
+            b=store.add(f"{prefix}.b", (gates * H,), init="zeros"),
+            u_gates=store.add(f"{prefix}.u_gates", (H, (gates - 1) * H), fan_out=H),
+            u_h=store.add(f"{prefix}.u_h", (H, H)),
         )
 
 
-def gru_input_projection(x: Tensor, p: GruParams) -> Tensor:
-    """``x @ [w_r | w_h] + [b_r | b_h]``: the fact encoder's input gemm for every step."""
-    return T.affine(x, T.concat([p.w_r, p.w_h], axis=-1), T.concat([p.b_r, p.b_h], axis=-1))
+def attention_gru_encode(proj: Tensor, gates: Tensor, p: GruParams) -> Tensor:
+    """Encode projected facts with per-step gates replacing the update gate.
 
-
-def attention_gru_encode(facts: Tensor, gates: Tensor, p: GruParams, projected: bool = False) -> Tensor:
-    """Encode ``facts[..., L, D]`` with per-step gates replacing the update gate.
-
-    ``h_j = g_j * h_cand_j + (1 - g_j) * h_{j-1}``, ``h_0 = 0``; returns the
-    final hidden state (the contextual vector).  With ``projected`` the
-    facts are already ``gru_input_projection`` outputs, shaped (..., L, 2H).
+    ``proj`` is (..., L, 2H), the facts through the cell's input weights,
+    ``facts @ p.w + p.b``.  ``h_j = g_j * h_cand_j + (1 - g_j) * h_{j-1}``,
+    ``h_0 = 0``; returns the final hidden state (the contextual vector).
+    ``T.gru_scan`` checks the shapes.
     """
-    if facts.data.ndim < 2:
-        raise DimensionError(f"attention_gru_encode: facts must be (..., L, D), got {facts.shape}")
-    if gates.data.shape != facts.data.shape[:-1]:
-        raise DimensionError(f"attention_gru_encode: gates shape {gates.shape} vs facts {facts.shape}")
     if np.any(gates.data < 0) or np.any(gates.data > 1):
         raise DomainError("attention_gru_encode: gates must lie in [0, 1]")
-    H = p.hidden_size
-    if projected and facts.data.shape[-1] != 2 * H:
-        raise DimensionError(f"attention_gru_encode: projected facts {facts.shape} need width {2 * H}")
-    proj = facts if projected else gru_input_projection(facts, p)
-    return T.take(T.gru_scan(proj, p.u_r, p.u_h, gate=gates), (..., -1, slice(None)))
+    return T.take(T.gru_scan(proj, p.u_gates, p.u_h, gate=gates), (..., -1, slice(None)))
 
 
 def _run_gru_layer(xs: Tensor, p: GruParams, mask: np.ndarray | None) -> Tensor:
@@ -88,9 +64,7 @@ def _run_gru_layer(xs: Tensor, p: GruParams, mask: np.ndarray | None) -> Tensor:
     The mask freezes padded steps so batched encoding matches per-item
     encoding exactly.
     """
-    proj = T.affine(xs, T.concat([p.w_z, p.w_r, p.w_h], axis=-1),
-                    T.concat([p.b_z, p.b_r, p.b_h], axis=-1))
-    return T.gru_scan(proj, T.concat([p.u_z, p.u_r], axis=-1), p.u_h, mask=mask)
+    return T.gru_scan(T.affine(xs, p.w, p.b), p.u_gates, p.u_h, mask=mask)
 
 
 def encode_token_batch(

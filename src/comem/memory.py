@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .encoders import GruParams, attention_gru_encode, gru_input_projection
+from .encoders import GruParams, attention_gru_encode
 from .errors import DimensionError, DomainError
 from .facts import ContextualFactSet
 from .tensor import ParameterStore, Tensor
@@ -134,7 +134,7 @@ class FactProjections:
 
     ``gate_*``: (..., N, L, Z), the facts times the second attention weight.
     ``gru_*``: (..., N, L, 2H), every level through its fact GRU's input
-    weights (``gru_input_projection``).
+    weights and biases, ``f @ w + b``.
     """
 
     gate_a: Tensor
@@ -154,7 +154,7 @@ def fact_projections(A: ContextualFactSet, B: ContextualFactSet, p: CoMemoryPara
     fa, fb = A.stacked(), B.stacked()
     return FactProjections(
         gate_a=T.matmul(fa, p.w_a2), gate_b=T.matmul(fb, p.w_b2),
-        gru_a=gru_input_projection(fa, p.gru_a), gru_b=gru_input_projection(fb, p.gru_b),
+        gru_a=T.affine(fa, p.gru_a.w, p.gru_a.b), gru_b=T.affine(fb, p.gru_b.w, p.gru_b.b),
     )
 
 
@@ -260,8 +260,8 @@ def memory_cycle(
     maps = co_attention(A, B, m, q, p, facts_proj=facts_proj)
     ens_a = dynamic_fact_ensemble(facts_proj.gru_a, maps.sa_levels)
     ens_b = dynamic_fact_ensemble(facts_proj.gru_b, maps.sb_levels)
-    c_a = attention_gru_encode(ens_a, maps.sa_steps, p.gru_a, projected=True)
-    c_b = attention_gru_encode(ens_b, maps.sb_steps, p.gru_b, projected=True)
+    c_a = attention_gru_encode(ens_a, maps.sa_steps, p.gru_a)
+    c_b = attention_gru_encode(ens_b, maps.sb_steps, p.gru_b)
     m_a = T.relu(T.affine(T.concat([m.m_a, q, c_a], axis=-1), p.upd_a_w, p.upd_a_b))
     m_b = T.relu(T.affine(T.concat([m.m_b, q, c_b], axis=-1), p.upd_b_w, p.upd_b_b))
     return MemoryState(m_a=m_a, m_b=m_b, cycle=m.cycle + 1), maps, c_a, c_b

@@ -133,16 +133,19 @@ class CoMemoryModel:
     def _question(self, q_ids: np.ndarray, q_mask: np.ndarray) -> Tensor:
         return encode_token_batch(q_ids, q_mask, self.embedding, self.q_gru1, self.q_gru2)
 
-    def _fuse_candidate(self, q: Tensor, e: Tensor) -> Tensor:
-        return T.tanh(T.affine(T.concat([q, e], axis=-1), self.fuse_w, self.fuse_b))
-
     def _candidate_questions(self, q: Tensor, cand_ids: np.ndarray, cand_mask: np.ndarray) -> Tensor:
-        """(B, K, Q): candidate ``k`` of item ``b`` fused with that item's question."""
+        """(B, K, Q): ``tanh([q; e_k] @ fuse.w + fuse.b)`` for candidate ``k`` of each item.
+
+        The question half, ``q @ fuse.w[:Q] + fuse.b``, is computed once per
+        item and broadcast over the K candidates.
+        """
         n_items, K = cand_ids.shape[:2]
+        Q = q.data.shape[-1]
         e = encode_token_batch(cand_ids.reshape(n_items * K, -1), cand_mask.reshape(n_items * K, -1),
                                self.embedding, self.q_gru1, self.q_gru2)
-        q_all = self._fuse_candidate(T.take(q, np.repeat(np.arange(n_items), K)), e)
-        return T.reshape(q_all, (n_items, K, q_all.data.shape[-1]))
+        e_part = T.matmul(T.reshape(e, (n_items, K, Q)), T.take(self.fuse_w, slice(Q, None)))
+        q_part = T.affine(q, T.take(self.fuse_w, slice(None, Q)), self.fuse_b)
+        return T.tanh(e_part + T.reshape(q_part, (n_items, 1, Q)))
 
     def _forward(self, batch: dict):
         """Head output and per-cycle attention maps for a ``make_batch`` dict.

@@ -147,19 +147,15 @@ def _accumulate(t: Tensor, g: np.ndarray, shared: bool = False):
     hand over arrays they have just computed, or views of their node's own
     gradient, which nothing reads once that node's backward has run.  It is
     copied when it is read-only (a broadcast view) or ``shared``, that is,
-    also handed to another tensor.  A leaf's first gradient is also copied
-    when it is not C-contiguous (a split or transposed view), so the
-    optimizer reads every leaf gradient in place.
+    also handed to another tensor.
     """
     if not _on_tape(t):
         return
     reduced = _unbroadcast(g, t.data.shape)
-    leaf = not t._parents
     if t.grad is not None:
         t.grad += reduced
-    elif ((shared and reduced is g) or not reduced.flags.writeable or reduced.dtype != t.data.dtype
-          or (leaf and not reduced.flags.c_contiguous)):
-        t.grad = np.array(reduced, dtype=t.data.dtype, order="C" if leaf else "K")
+    elif (shared and reduced is g) or not reduced.flags.writeable or reduced.dtype != t.data.dtype:
+        t.grad = np.array(reduced, dtype=t.data.dtype)
     else:
         t.grad = reduced
 
@@ -500,7 +496,8 @@ def deconv1d_temporal(x: Tensor, K: Tensor, target_len: int) -> Tensor:
         if _on_tape(x):
             _accumulate(x, (g2 @ kt.T).reshape(x.data.shape))
         if _on_tape(K):
-            _accumulate(K, (x2.T @ g2).reshape(cin, k, cout).transpose(1, 0, 2))
+            # one gemm per tap, stacked tap-major, so the gradient is C-contiguous like K
+            _accumulate(K, x2.T @ g2.reshape(-1, k, cout).swapaxes(0, 1))
 
     return _make(data, (x, K), backward)
 
@@ -649,7 +646,12 @@ class ParameterStore:
         self._values = None if values is None else dict(values)
         self._rng = np.random.Generator(np.random.Philox(key=np.uint64(seed))) if values is None else None
 
-    def add(self, name: str, shape, init: str = "auto") -> Tensor:
+    def add(self, name: str, shape, init: str = "auto", fan_out: Optional[int] = None) -> Tensor:
+        """Register a parameter; ``fan_out`` overrides the Glorot bound's output width.
+
+        A block of several H-wide weight matrices side by side passes
+        ``fan_out=H``, so each block keeps the bound it would have alone.
+        """
         if name in self._params:
             raise DomainError(f"parameter {name!r} already exists")
         shape = tuple(int(s) for s in shape)
@@ -664,7 +666,8 @@ class ParameterStore:
             data = np.zeros(shape, dtype=self.dtype)
         else:
             fan_in = int(np.prod(shape[:-1]))
-            fan_out = shape[-1] if len(shape) == 2 else shape[0] * shape[-1]
+            if fan_out is None:
+                fan_out = shape[-1] if len(shape) == 2 else shape[0] * shape[-1]
             # uniform(-s, s) drawn in the store's dtype: for float64 these are
             # exactly Generator.uniform's values, and float32 skips a float64 copy
             s = np.dtype(self.dtype).type(np.sqrt(6.0 / (fan_in + fan_out)))

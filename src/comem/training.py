@@ -25,8 +25,9 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 # v2 dropped the fact GRUs' update-gate parameters, which the forward pass never read;
-# v3 recorded the blob's sha256; v4 records each parameter's sha256 instead
-CHECKPOINT_FORMAT = "comem-checkpoint-v4"
+# v3 recorded the blob's sha256; v4 each parameter's sha256 instead; v5 stores
+# each GRU weight block ([w_z | w_r | w_h], its bias, [u_z | u_r]) as one parameter
+CHECKPOINT_FORMAT = "comem-checkpoint-v5"
 
 # threads that run the Adam update and hash checkpoint parameters; two fill a
 # 2-core host, and the result does not depend on the count

@@ -5,22 +5,19 @@ from __future__ import annotations
 import numpy as np
 
 from .decoders import NUM_CHOICES, TaskKind, num_answers
-from .model import CoMemoryModel, ModelConfig, make_batch, tiny_model_config
+from .model import CoMemoryModel, make_batch, tiny_model_config
 from .tensor import WIDE_DTYPE
 
 
-def default_check_config(task: str) -> ModelConfig:
-    """Paper dimensions with a small vocabulary (inputs are random anyway)."""
-    return ModelConfig(task=task, vocab_size=40, answer_vocab=8)
-
-
-def build_gradcheck_case(task: str, seed: int = 0, size: str = "tiny", batch: int = 2):
-    """Returns (f, tensors): a scalar loss closure over a float64 model.
+def build_gradcheck_case(task: str, seed: int = 0):
+    """Returns (f, tensors): a scalar loss closure over a float64 tiny model.
 
     ``f`` re-runs the full forward pass (pyramid, episodes, decoder, loss)
-    on a fixed random batch, so finite differences see every parameter.
+    on a fixed random batch of two items, so finite differences see every
+    parameter.
     """
-    cfg = tiny_model_config(task) if size == "tiny" else default_check_config(task)
+    batch = 2
+    cfg = tiny_model_config(task)
     model = CoMemoryModel(cfg, seed=seed, dtype=WIDE_DTYPE)
     kind = TaskKind(task)
     # offset by the task's index: the multiple-choice tasks share one model and would draw the same inputs

@@ -78,7 +78,7 @@ def _runs_path(rel) -> Path:
 
 def test_criterion_01_full_model_gradient_fidelity():
     t0 = time.time()
-    err = full_model_gradcheck(config="tiny", seed=0, max_coords=2)
+    err = full_model_gradcheck(seed=0, max_coords=2)
     elapsed = time.time() - t0
     assert err <= 1e-4, f"max relative gradient error {err:.3e} > 1e-4"
     assert elapsed < 120.0, f"gradient check took {elapsed:.1f}s (limit 120s)"
@@ -177,29 +177,30 @@ def test_criterion_04_cross_modal_coupling_10_seeds():
 def test_criterion_05_attention_gru_oracles():
     rng = _rng(5)
     store = ParameterStore(seed=5, dtype=np.float64)
-    p = GruParams.create(store, "g", 3, 4)
+    p = GruParams.create(store, "g", 3, 4, update_gate=False)  # blocks [r | h]
     facts = rng.standard_normal((6, 3))
 
-    out = attention_gru_encode(Tensor(facts), Tensor(np.zeros(6)), p)
+    out = attention_gru_encode(T.affine(Tensor(facts), p.w, p.b), Tensor(np.zeros(6)), p)
     assert np.allclose(out.data, 0.0), "zero gates must give the zero vector"
 
     gates = np.zeros(6)
     gates[3] = 1.0
-    out = attention_gru_encode(Tensor(facts), Tensor(gates), p)
-    cand = np.tanh(facts[3] @ p.w_h.data + p.b_h.data)  # h=0 before the hot step
+    out = attention_gru_encode(T.affine(Tensor(facts), p.w, p.b), Tensor(gates), p)
+    cand = np.tanh(facts[3] @ p.w.data[:, 4:] + p.b.data[4:])  # h=0 before the hot step
     assert np.allclose(out.data, cand, atol=1e-12), "one-hot gate must return that candidate"
 
     ps = ParameterStore(seed=6, dtype=np.float64)
-    sp = GruParams.create(ps, "s", 1, 1)
+    sp = GruParams.create(ps, "s", 1, 1, update_gate=False)
+    (w_r, w_h), (b_r, b_h), u_r, u_h = sp.w.data[0], sp.b.data, sp.u_gates.data[0, 0], sp.u_h.data[0, 0]
     sfacts = rng.standard_normal((5, 1))
     sgates = rng.uniform(0, 1, size=5)
     h = 0.0
     sig = lambda v: 1.0 / (1.0 + np.exp(-v))
     for x, g in zip(sfacts[:, 0], sgates):
-        r = sig(x * sp.w_r.data[0, 0] + h * sp.u_r.data[0, 0] + sp.b_r.data[0])
-        c = np.tanh(x * sp.w_h.data[0, 0] + r * h * sp.u_h.data[0, 0] + sp.b_h.data[0])
+        r = sig(x * w_r + h * u_r + b_r)
+        c = np.tanh(x * w_h + r * h * u_h + b_h)
         h = g * c + (1 - g) * h
-    out = attention_gru_encode(Tensor(sfacts), Tensor(sgates), sp)
+    out = attention_gru_encode(T.affine(Tensor(sfacts), sp.w, sp.b), Tensor(sgates), sp)
     err = abs(float(out.data[0]) - h)
     assert err <= 1e-9, f"scalar recurrence error {err:.2e} > 1e-9"
     _ok(5, f"(zero gate, one-hot gate, scalar recurrence error {err:.2e})")

@@ -217,12 +217,12 @@ def test_inspect_unknown_id_is_data_error(workspace):
 
 
 def test_gradcheck_passes_and_repeats(tmp_path):
-    r1 = run_cli("gradcheck", "--config", "tiny", "--seed", "0", cwd=tmp_path)
+    r1 = run_cli("gradcheck", "--seed", "0", cwd=tmp_path)
     assert r1.returncode == 0, r1.stderr
     assert "max relative error" in r1.stdout
-    r2 = run_cli("gradcheck", "--config", "tiny", "--seed", "0", cwd=tmp_path)
+    r2 = run_cli("gradcheck", "--seed", "0", cwd=tmp_path)
     assert r2.stdout == r1.stdout  # same seed, same reported error
-    assert (tmp_path / "gradcheck_tiny_0.config.json").exists()
+    assert (tmp_path / "gradcheck_0.config.json").exists()
 
 
 def test_gradcheck_detects_corrupted_gradients(tmp_path, monkeypatch):
@@ -238,7 +238,7 @@ def test_gradcheck_detects_corrupted_gradients(tmp_path, monkeypatch):
 
     monkeypatch.setattr(T, "gru_scan", scan_with_doubled_backward)
     monkeypatch.chdir(tmp_path)
-    assert cli.main(["gradcheck", "--config", "tiny", "--seed", "0"]) == 3
+    assert cli.main(["gradcheck", "--seed", "0"]) == 3
 
 
 # -- usage errors --------------------------------------------------------------------

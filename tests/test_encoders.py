@@ -19,16 +19,28 @@ def _rng(seed):
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
-def _gru(seed, din, hidden, dtype=np.float64):
+def _gru(seed, din, hidden, dtype=np.float64, update_gate=True):
     store = ParameterStore(seed=seed, dtype=dtype)
-    return GruParams.create(store, "g", din, hidden), store
+    return GruParams.create(store, "g", din, hidden, update_gate=update_gate), store
+
+
+def _block(p, gate):
+    """Gate ``gate``'s (w, u, b), read by column from ``[z | r | h]`` (or a fact cell's ``[r | h]``) blocks."""
+    H = p.u_h.data.shape[0]
+    i = ("zrh" if p.w.data.shape[1] == 3 * H else "rh").index(gate)
+    cols = slice(i * H, (i + 1) * H)
+    return p.w.data[:, cols], p.u_h.data if gate == "h" else p.u_gates.data[:, cols], p.b.data[cols]
 
 
 def _scalar_gru(w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h):
     p, _ = _gru(0, 1, 1)
-    for name, v in [("w_z", w_z), ("u_z", u_z), ("b_z", b_z), ("w_r", w_r),
-                    ("u_r", u_r), ("b_r", b_r), ("w_h", w_h), ("u_h", u_h), ("b_h", b_h)]:
-        getattr(p, name).data[...] = v
+    p.w.data[0], p.b.data[...], p.u_gates.data[0], p.u_h.data[0] = [w_z, w_r, w_h], [b_z, b_r, b_h], [u_z, u_r], u_h
+    return p
+
+
+def _scalar_fact_gru(w_r, u_r, b_r, w_h, u_h, b_h):
+    p, _ = _gru(0, 1, 1, update_gate=False)
+    p.w.data[0], p.b.data[...], p.u_gates.data[0], p.u_h.data[0] = [w_r, w_h], [b_r, b_h], u_r, u_h
     return p
 
 
@@ -37,10 +49,16 @@ def _sig(x):
 
 
 def _hand_gru(x, h, p):
-    z = _sig(x * p.w_z.data[0, 0] + h * p.u_z.data[0, 0] + p.b_z.data[0])
-    r = _sig(x * p.w_r.data[0, 0] + h * p.u_r.data[0, 0] + p.b_r.data[0])
-    cand = np.tanh(x * p.w_h.data[0, 0] + r * h * p.u_h.data[0, 0] + p.b_h.data[0])
+    (w_z, u_z, b_z), (w_r, u_r, b_r), (w_h, u_h, b_h) = (_block(p, gate) for gate in "zrh")
+    z = _sig(x * w_z[0, 0] + h * u_z[0, 0] + b_z[0])
+    r = _sig(x * w_r[0, 0] + h * u_r[0, 0] + b_r[0])
+    cand = np.tanh(x * w_h[0, 0] + r * h * u_h[0, 0] + b_h[0])
     return z * cand + (1 - z) * h
+
+
+def _fact_encode(facts, gates, p):
+    """``attention_gru_encode`` of raw facts, through the cell's input weights."""
+    return attention_gru_encode(T.affine(facts, p.w, p.b), gates, p)
 
 
 def _last_state(xs, p, mask=None):
@@ -83,7 +101,7 @@ def test_gru_zero_params_halves_hidden():
     p = _scalar_gru(0, 0, 0, 0, 0, 0, 0, 0, 0)
     # step 1 sets h = 0.8 through a saturated update gate; step 2 projects x = 2 through zero weights
     proj = Tensor([[40.0, 0.0, np.arctanh(0.8)], [0.0, 0.0, 0.0]])
-    h = T.gru_scan(proj, T.concat([p.u_z, p.u_r], axis=-1), p.u_h)
+    h = T.gru_scan(proj, p.u_gates, p.u_h)
     assert np.allclose(h.data[:, 0], [0.8, 0.4])  # z=0.5, candidate=0 -> 0.5*h_prev
     h0 = _last_state([[2.0]], p)
     assert np.allclose(h0.data, [0.0])
@@ -106,7 +124,7 @@ def test_gru_output_width_is_hidden_size():
 
 def test_gru_shape_errors():
     p, _ = _gru(0, 3, 4)
-    u_gates = T.concat([p.u_z, p.u_r], axis=-1)
+    u_gates, u_r = p.u_gates, Tensor(_block(p, "r")[1])
     with pytest.raises(DimensionError):
         _last_state(np.zeros((1, 5)), p)
     with pytest.raises(DimensionError):  # projections of a 2-wide GRU against 4-wide weights
@@ -114,7 +132,7 @@ def test_gru_shape_errors():
     with pytest.raises(DimensionError):  # an external gate takes [r | h] projections
         T.gru_scan(Tensor(np.zeros((2, 12))), u_gates, p.u_h, gate=Tensor(np.zeros(2)))
     with pytest.raises(DimensionError):
-        T.gru_scan(Tensor(np.zeros((2, 8))), p.u_r, p.u_h, gate=Tensor(np.zeros(3)))
+        T.gru_scan(Tensor(np.zeros((2, 8))), u_r, p.u_h, gate=Tensor(np.zeros(3)))
     with pytest.raises(DimensionError):
         T.gru_scan(Tensor(np.zeros((2, 12))), u_gates, p.u_h, mask=np.ones(3))
 
@@ -154,80 +172,82 @@ def test_gru_scan_matches_per_step_reference(external_gate, lead, masked):
 
 def test_zero_gates_give_zero_vector():
     rng = _rng(2)
-    p, _ = _gru(2, 3, 4)
+    p, _ = _gru(2, 3, 4, update_gate=False)
     facts = Tensor(rng.standard_normal((6, 3)))
-    out = attention_gru_encode(facts, Tensor(np.zeros(6)), p)
+    out = _fact_encode(facts, Tensor(np.zeros(6)), p)
     assert np.allclose(out.data, 0.0)
 
 
 def test_one_hot_gate_returns_that_candidate():
     rng = _rng(3)
-    p, _ = _gru(3, 3, 4)
+    p, _ = _gru(3, 3, 4, update_gate=False)
     facts = rng.standard_normal((5, 3))
     j = 2
     gates = np.zeros(5)
     gates[j] = 1.0
-    out = attention_gru_encode(Tensor(facts), Tensor(gates), p)
+    out = _fact_encode(Tensor(facts), Tensor(gates), p)
     # h was 0 until step j, so the output is the candidate state at step j
-    r = _sig(facts[j] @ p.w_r.data + p.b_r.data)  # u_r term vanishes at h=0
-    cand = np.tanh(facts[j] @ p.w_h.data + p.b_h.data)
+    (w_r, _, b_r), (w_h, _, b_h) = _block(p, "r"), _block(p, "h")
+    r = _sig(facts[j] @ w_r + b_r)  # u_r term vanishes at h=0
+    cand = np.tanh(facts[j] @ w_h + b_h)
     assert np.allclose(out.data, cand, atol=1e-10)
     assert r.shape == (4,)
 
 
 def test_attention_encode_matches_scalar_recurrence():
-    p = _scalar_gru(0.3, -0.2, 0.1, 0.5, 0.4, -0.1, 0.7, 0.2, 0.05)
+    p = _scalar_fact_gru(0.5, 0.4, -0.1, 0.7, 0.2, 0.05)
+    (w_r, u_r, b_r), (w_h, u_h, b_h) = _block(p, "r"), _block(p, "h")
     facts = np.array([[1.0], [-2.0]])
     gates = np.array([0.5, 0.5])
     h = 0.0
     for x, g in zip(facts[:, 0], gates):
-        r = _sig(x * p.w_r.data[0, 0] + h * p.u_r.data[0, 0] + p.b_r.data[0])
-        cand = np.tanh(x * p.w_h.data[0, 0] + r * h * p.u_h.data[0, 0] + p.b_h.data[0])
+        r = _sig(x * w_r[0, 0] + h * u_r[0, 0] + b_r[0])
+        cand = np.tanh(x * w_h[0, 0] + r * h * u_h[0, 0] + b_h[0])
         h = g * cand + (1 - g) * h
-    out = attention_gru_encode(Tensor(facts), Tensor(gates), p)
+    out = _fact_encode(Tensor(facts), Tensor(gates), p)
     assert np.allclose(out.data, [h], atol=1e-12)
 
 
 def test_attention_encode_ignores_trailing_zero_gate_facts():
     rng = _rng(4)
-    p, _ = _gru(4, 3, 4)
+    p, _ = _gru(4, 3, 4, update_gate=False)
     facts = rng.standard_normal((5, 3))
     gates = np.array([0.7, 0.3, 0.0, 0.0, 0.0])
-    out1 = attention_gru_encode(Tensor(facts), Tensor(gates), p).data
+    out1 = _fact_encode(Tensor(facts), Tensor(gates), p).data
     facts2 = facts.copy()
     facts2[2:] = rng.standard_normal((3, 3))  # only zero-gated suffix changes
-    out2 = attention_gru_encode(Tensor(facts2), Tensor(gates), p).data
+    out2 = _fact_encode(Tensor(facts2), Tensor(gates), p).data
     assert np.allclose(out1, out2, atol=1e-12)
 
 
 def test_attention_encode_rejects_out_of_range_gates():
-    p, _ = _gru(0, 2, 2)
+    p, _ = _gru(0, 2, 2, update_gate=False)
     facts = Tensor(np.zeros((3, 2)))
     with pytest.raises(DomainError):
-        attention_gru_encode(facts, Tensor([0.5, 1.5, 0.0]), p)
+        _fact_encode(facts, Tensor([0.5, 1.5, 0.0]), p)
     with pytest.raises(DomainError):
-        attention_gru_encode(facts, Tensor([-0.1, 0.5, 0.0]), p)
+        _fact_encode(facts, Tensor([-0.1, 0.5, 0.0]), p)
 
 
 def test_attention_encode_batched_equals_per_item():
     rng = _rng(5)
-    p, _ = _gru(5, 3, 4)
+    p, _ = _gru(5, 3, 4, update_gate=False)
     facts = rng.standard_normal((2, 6, 3))
     gates = rng.uniform(0, 1, size=(2, 6))
-    batched = attention_gru_encode(Tensor(facts), Tensor(gates), p).data
+    batched = _fact_encode(Tensor(facts), Tensor(gates), p).data
     for b in range(2):
-        single = attention_gru_encode(Tensor(facts[b]), Tensor(gates[b]), p).data
+        single = _fact_encode(Tensor(facts[b]), Tensor(gates[b]), p).data
         assert np.allclose(batched[b], single, atol=1e-10)
 
 
 def test_attention_encode_gradients():
     rng = _rng(6)
-    p, store = _gru(6, 2, 3)
+    p, store = _gru(6, 2, 3, update_gate=False)
     facts = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
     gates = Tensor(rng.uniform(0.1, 0.9, size=4), requires_grad=True)
 
     def f():
-        return T.tsum(T.square(attention_gru_encode(facts, gates, p)))
+        return T.tsum(T.square(_fact_encode(facts, gates, p)))
 
     err = grad_check(f, store.tensors() + [facts, gates], eps=1e-5, max_coords=4)
     assert err <= 1e-4
@@ -274,9 +294,7 @@ def test_question_matches_composed_gru_steps():
     tokens = [2, 5]
     outs = Tensor(table.data[tokens])
     for layer in (l1, l2):
-        proj = T.affine(outs, T.concat([layer.w_z, layer.w_r, layer.w_h], axis=-1),
-                        T.concat([layer.b_z, layer.b_r, layer.b_h], axis=-1))
-        outs = _reference_scan(proj, T.concat([layer.u_z, layer.u_r], axis=-1), layer.u_h)
+        outs = _reference_scan(T.affine(outs, layer.w, layer.b), layer.u_gates, layer.u_h)
     q = _encode_question(tokens, table, l1, l2)
     assert np.allclose(q.data, outs.data[-1], atol=1e-10)
 

@@ -269,7 +269,7 @@ def test_cycle_matches_composition_of_suboperations():
     m1, maps, c_a, c_b = memory_cycle(A, B, m0, q, p)
     maps2 = co_attention(A, B, m0, q, p)
     ens_a = dynamic_fact_ensemble(A, maps2.sa_levels)
-    c_a2 = attention_gru_encode(ens_a, maps2.sa_steps, p.gru_a)
+    c_a2 = attention_gru_encode(T.affine(ens_a, p.gru_a.w, p.gru_a.b), maps2.sa_steps, p.gru_a)
     assert np.allclose(c_a.data, c_a2.data, atol=1e-10)
     upd_in = np.concatenate([m0.m_a.data, q.data, c_a2.data])
     assert np.allclose(m1.m_a.data, np.maximum(upd_in @ p.upd_a_w.data + p.upd_a_b.data, 0.0), atol=1e-10)

@@ -54,7 +54,8 @@ def _reference_run(model, batch, b, k):
     q = model._question(batch["q_ids"][b : b + 1], batch["q_mask"][b : b + 1])
     e = encode_token_batch(batch["cand_ids"][b, k : k + 1], batch["cand_mask"][b, k : k + 1],
                            model.embedding, model.q_gru1, model.q_gru2)
-    m_h, maps = run_episodes(A, B, model._fuse_candidate(q, e), model.comem, model.config.cycles)
+    fused = T.tanh(T.affine(T.concat([q, e], axis=-1), model.fuse_w, model.fuse_b))
+    m_h, maps = run_episodes(A, B, fused, model.comem, model.config.cycles)
     return D.score_choice(m_h, model.decoder), maps
 
 

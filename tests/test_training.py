@@ -254,11 +254,13 @@ def test_checkpoint_rejects_v1_format(tmp_path):
     path = tmp_path / "c.ckpt"
     save_checkpoint(path, _tiny_model(), TrainConfig(task="frame"), 1, [])
     manifest = json.loads(path.read_text())
-    assert manifest["format"] == "comem-checkpoint-v4"
-    manifest["format"] = "comem-checkpoint-v1"  # v1 also held the fact GRUs' unused update gates
-    path.write_text(json.dumps(manifest))
-    with pytest.raises(FormatError, match="comem-checkpoint-v1"):
-        load_checkpoint(path)
+    assert manifest["format"] == "comem-checkpoint-v5"
+    # v1 also held the fact GRUs' unused update gates; v4 held one parameter per GRU gate
+    for old in ("comem-checkpoint-v1", "comem-checkpoint-v4"):
+        manifest["format"] = old
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match=old):
+            load_checkpoint(path)
 
 
 def test_checkpoint_rejects_v2_format(tmp_path):
