@@ -23,8 +23,6 @@ class ContextualFactSet:
     """N fact matrices sharing temporal resolution; one per context level."""
 
     levels: list[Tensor]
-    modality: str
-    _stacked: Tensor | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.levels) < 1:
@@ -42,13 +40,8 @@ class ContextualFactSet:
         return self.levels[0].data.shape[-2]
 
     def stacked(self) -> Tensor:
-        """Levels stacked on a new axis before time: (..., N, L, C).
-
-        Cached so repeated consumers share one graph node.
-        """
-        if self._stacked is None:
-            self._stacked = T.stack(self.levels, axis=-3)
-        return self._stacked
+        """Levels stacked on a new axis before time: (..., N, L, C), a new graph node per call."""
+        return T.stack(self.levels, axis=-3)
 
 
 @dataclass
@@ -83,11 +76,9 @@ def _level_lengths(base: int, n: int) -> list[int]:
     return lengths
 
 
-def build_contextual_facts(units: Tensor, p: PyramidParams, num_levels: int | None = None, modality: str = "appearance") -> ContextualFactSet:
-    """Run the conv-down / deconv-up pyramid on ``units[(B,) L, D]``."""
-    n = p.num_levels if num_levels is None else num_levels
-    if n < 1 or n > p.num_levels:
-        raise DomainError(f"num_levels={n} outside parameterized range 1..{p.num_levels}")
+def build_contextual_facts(units: Tensor, p: PyramidParams) -> ContextualFactSet:
+    """Run the ``p.num_levels``-level conv-down / deconv-up pyramid on ``units[(B,) L, D]``."""
+    n = p.num_levels
     L = units.data.shape[-2]
     lengths = _level_lengths(L, n)
     if lengths[-1] < 2:
@@ -105,5 +96,5 @@ def build_contextual_facts(units: Tensor, p: PyramidParams, num_levels: int | No
             target = lengths[lvl - 2 - step]
             x = T.relu(T.deconv1d_temporal(x, p.deconvs[(lvl, step)], target_len=target))
         levels.append(x)
-    return ContextualFactSet(levels=levels, modality=modality)
+    return ContextualFactSet(levels=levels)
 

@@ -58,29 +58,25 @@ class AttentionMaps:
 
 
 @dataclass
+class ModalityParams:
+    """One modality's gate weights, initial-memory projection, memory update and fact GRU."""
+
+    w1: Tensor
+    w2: Tensor
+    w3: Tensor
+    w4: Tensor
+    proj: Tensor
+    upd_w: Tensor
+    upd_b: Tensor
+    gru: GruParams
+
+
+@dataclass
 class CoMemoryParams:
-    """Attention weights, memory projections/updates, and fact-encoding GRUs."""
+    """The appearance (``a``) and motion (``b``) memories' parameters."""
 
-    w_a1: Tensor
-    w_a2: Tensor
-    w_a3: Tensor
-    w_a4: Tensor
-    w_b1: Tensor
-    w_b2: Tensor
-    w_b3: Tensor
-    w_b4: Tensor
-    proj_a: Tensor
-    proj_b: Tensor
-    upd_a_w: Tensor
-    upd_a_b: Tensor
-    upd_b_w: Tensor
-    upd_b_b: Tensor
-    gru_a: GruParams
-    gru_b: GruParams
-
-    @property
-    def memory_dim(self) -> int:
-        return self.proj_a.data.shape[1]
+    a: ModalityParams
+    b: ModalityParams
 
     @staticmethod
     def create(
@@ -92,38 +88,24 @@ class CoMemoryParams:
         gate_dim: int,
         context_dim: int,
     ) -> "CoMemoryParams":
+        """Each parameter kind is drawn for ``a``, then ``b``; names and order are the checkpoint layout."""
         mq = memory_dim + question_dim
-
-        def attn(mod):
-            return (
-                store.add(f"{prefix}.w_{mod}1", (mq, fact_dim)),
-                store.add(f"{prefix}.w_{mod}2", (fact_dim, gate_dim)),
-                store.add(f"{prefix}.w_{mod}3", (mq, gate_dim)),
-                store.add(f"{prefix}.w_{mod}4", (gate_dim, 1)),
-            )
-
-        w_a1, w_a2, w_a3, w_a4 = attn("a")
-        w_b1, w_b2, w_b3, w_b4 = attn("b")
         upd_in = memory_dim + question_dim + context_dim
-        return CoMemoryParams(
-            w_a1=w_a1, w_a2=w_a2, w_a3=w_a3, w_a4=w_a4,
-            w_b1=w_b1, w_b2=w_b2, w_b3=w_b3, w_b4=w_b4,
-            proj_a=store.add(f"{prefix}.proj_a", (question_dim, memory_dim)),
-            proj_b=store.add(f"{prefix}.proj_b", (question_dim, memory_dim)),
-            upd_a_w=store.add(f"{prefix}.upd_a_w", (upd_in, memory_dim)),
-            upd_a_b=store.add(f"{prefix}.upd_a_b", (memory_dim,), init="zeros"),
-            upd_b_w=store.add(f"{prefix}.upd_b_w", (upd_in, memory_dim)),
-            upd_b_b=store.add(f"{prefix}.upd_b_b", (memory_dim,), init="zeros"),
-            gru_a=GruParams.create(store, f"{prefix}.gru_a", fact_dim, context_dim, update_gate=False),
-            gru_b=GruParams.create(store, f"{prefix}.gru_b", fact_dim, context_dim, update_gate=False),
-        )
+        attn_shapes = ((mq, fact_dim), (fact_dim, gate_dim), (mq, gate_dim), (gate_dim, 1))
+        w = {m: [store.add(f"{prefix}.w_{m}{i}", shape) for i, shape in enumerate(attn_shapes, 1)] for m in "ab"}
+        proj = {m: store.add(f"{prefix}.proj_{m}", (question_dim, memory_dim)) for m in "ab"}
+        upd = {m: (store.add(f"{prefix}.upd_{m}_w", (upd_in, memory_dim)),
+                   store.add(f"{prefix}.upd_{m}_b", (memory_dim,), init="zeros")) for m in "ab"}
+        gru = {m: GruParams.create(store, f"{prefix}.gru_{m}", fact_dim, context_dim, update_gate=False) for m in "ab"}
+        a, b = (ModalityParams(*w[m], proj[m], *upd[m], gru[m]) for m in "ab")
+        return CoMemoryParams(a=a, b=b)
 
 
 def init_memory(q: Tensor, p: CoMemoryParams) -> MemoryState:
     """Initial memories: separate learned ReLU projections of the question."""
     return MemoryState(
-        m_a=T.relu(T.matmul(q, p.proj_a)),
-        m_b=T.relu(T.matmul(q, p.proj_b)),
+        m_a=T.relu(T.matmul(q, p.a.proj)),
+        m_b=T.relu(T.matmul(q, p.b.proj)),
         cycle=0,
     )
 
@@ -153,8 +135,8 @@ def fact_projections(A: ContextualFactSet, B: ContextualFactSet, p: CoMemoryPara
     """
     fa, fb = A.stacked(), B.stacked()
     return FactProjections(
-        gate_a=T.matmul(fa, p.w_a2), gate_b=T.matmul(fb, p.w_b2),
-        gru_a=T.affine(fa, p.gru_a.w, p.gru_a.b), gru_b=T.affine(fb, p.gru_b.w, p.gru_b.b),
+        gate_a=T.matmul(fa, p.a.w2), gate_b=T.matmul(fb, p.b.w2),
+        gru_a=T.affine(fa, p.a.gru.w, p.a.gru.b), gru_b=T.affine(fb, p.b.gru.w, p.b.gru.b),
     )
 
 
@@ -173,19 +155,19 @@ def _with_candidate_axis(facts: Tensor, q: Tensor) -> Tensor:
     return T.reshape(facts, shape[:-3] + (1,) + shape[-3:])
 
 
-def _gates_one_modality(gate_proj: Tensor, m_inner: Tensor, m_outer: Tensor, q: Tensor, w1, w2, w3, w4) -> Tensor:
+def _gates_one_modality(gate_proj: Tensor, m_own: Tensor, m_other: Tensor, q: Tensor, mp: ModalityParams) -> Tensor:
     """Raw gates ``tanh(W2 f + W2 W1 [m; q] + W3 [m_other; q]) . w4`` for all levels/steps of one modality.
 
     ``gate_proj``: (..., [1,] N, L, Z), the untiled facts already multiplied
-    by ``w2``.  The inner term uses the modality's own memory, the outer term
-    the other modality's memory; both are (..., Z) vectors added inside the
-    ``tanh``, so the other memory moves the level and step softmaxes.
+    by ``mp.w2``.  The inner term uses the modality's own memory, the outer
+    term the other modality's memory; both are (..., Z) vectors added inside
+    the ``tanh``, so the other memory moves the level and step softmaxes.
     Returns (..., [K,] N, L).
     """
-    inner = T.matmul(T.matmul(T.concat([m_inner, q], axis=-1), w1), w2)  # (..., Z)
-    inner = inner + T.matmul(T.concat([m_outer, q], axis=-1), w3)
+    inner = T.matmul(T.matmul(T.concat([m_own, q], axis=-1), mp.w1), mp.w2)  # (..., Z)
+    inner = inner + T.matmul(T.concat([m_other, q], axis=-1), mp.w3)
     inner = T.reshape(inner, inner.data.shape[:-1] + (1, 1, inner.data.shape[-1]))
-    g = T.matmul(T.tanh(gate_proj + inner), w4)
+    g = T.matmul(T.tanh(gate_proj + inner), mp.w4)
     return T.reshape(g, g.data.shape[:-1])
 
 
@@ -210,8 +192,8 @@ def co_attention(
         facts_proj = fact_projections(A, B, p)
     fa_p = _with_candidate_axis(facts_proj.gate_a, q)
     fb_p = _with_candidate_axis(facts_proj.gate_b, q)
-    ga = _gates_one_modality(fa_p, m.m_a, m.m_b, q, p.w_a1, p.w_a2, p.w_a3, p.w_a4)
-    gb = _gates_one_modality(fb_p, m.m_b, m.m_a, q, p.w_b1, p.w_b2, p.w_b3, p.w_b4)
+    ga = _gates_one_modality(fa_p, m.m_a, m.m_b, q, p.a)
+    gb = _gates_one_modality(fb_p, m.m_b, m.m_a, q, p.b)
     sa_levels = T.softmax(ga, axis=-2)
     sb_levels = T.softmax(gb, axis=-2)
     sa_steps = T.softmax(T.tmean(ga, axis=-2), axis=-1)
@@ -260,10 +242,10 @@ def memory_cycle(
     maps = co_attention(A, B, m, q, p, facts_proj=facts_proj)
     ens_a = dynamic_fact_ensemble(facts_proj.gru_a, maps.sa_levels)
     ens_b = dynamic_fact_ensemble(facts_proj.gru_b, maps.sb_levels)
-    c_a = attention_gru_encode(ens_a, maps.sa_steps, p.gru_a)
-    c_b = attention_gru_encode(ens_b, maps.sb_steps, p.gru_b)
-    m_a = T.relu(T.affine(T.concat([m.m_a, q, c_a], axis=-1), p.upd_a_w, p.upd_a_b))
-    m_b = T.relu(T.affine(T.concat([m.m_b, q, c_b], axis=-1), p.upd_b_w, p.upd_b_b))
+    c_a = attention_gru_encode(ens_a, maps.sa_steps, p.a.gru)
+    c_b = attention_gru_encode(ens_b, maps.sb_steps, p.b.gru)
+    m_a = T.relu(T.affine(T.concat([m.m_a, q, c_a], axis=-1), p.a.upd_w, p.a.upd_b))
+    m_b = T.relu(T.affine(T.concat([m.m_b, q, c_b], axis=-1), p.b.upd_w, p.b.upd_b))
     return MemoryState(m_a=m_a, m_b=m_b, cycle=m.cycle + 1), maps, c_a, c_b
 
 

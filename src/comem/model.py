@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -36,13 +36,6 @@ class ModelConfig:
 
     def task_kind(self) -> TaskKind:
         return TaskKind(self.task)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelConfig":
-        return ModelConfig(**d)
 
 
 def tiny_model_config(task: str = "frame", vocab_size: int = 13, answer_vocab: int = 4) -> ModelConfig:
@@ -126,9 +119,7 @@ class CoMemoryModel:
         dtype = self.store.dtype
         fa = Tensor(np.asarray(features_a, dtype=dtype))
         fb = Tensor(np.asarray(features_b, dtype=dtype))
-        A = build_contextual_facts(fa, self.pyramid_a, self.config.levels, modality="appearance")
-        B = build_contextual_facts(fb, self.pyramid_b, self.config.levels, modality="motion")
-        return A, B
+        return build_contextual_facts(fa, self.pyramid_a), build_contextual_facts(fb, self.pyramid_b)
 
     def _question(self, q_ids: np.ndarray, q_mask: np.ndarray) -> Tensor:
         return encode_token_batch(q_ids, q_mask, self.embedding, self.q_gru1, self.q_gru2)

@@ -153,7 +153,7 @@ def save_checkpoint(path, model: CoMemoryModel, train_config: TrainConfig, epoch
     os.replace(blob_tmp, path.with_name(path.name + ".bin"))
     _write_manifest(path, {
         "format": CHECKPOINT_FORMAT,
-        "model_config": model.config.to_dict(),
+        "model_config": asdict(model.config),
         "train_config": asdict(train_config),
         "epoch": epoch,
         "history": history,
@@ -194,7 +194,7 @@ def load_checkpoint(path) -> tuple[CoMemoryModel, dict]:
     blob_path = path.parent / blob_name
     total = _field(manifest, "total_bytes", path)
     try:
-        config = ModelConfig.from_dict(_field(manifest, "model_config", path))
+        config = ModelConfig(**_field(manifest, "model_config", path))
         config.task_kind()
     except (TypeError, ValueError) as e:
         raise FormatError(f"{path}: bad model_config in checkpoint manifest ({e})")

@@ -98,8 +98,8 @@ def test_criterion_02_paper_default_shapes():
     q = Tensor(rng.standard_normal(512).astype(np.float32))
     t0 = time.time()
     with T.no_grad():
-        A = build_contextual_facts(units, pyr, modality="appearance")
-        B = ContextualFactSet(levels=[Tensor(lv.data.copy()) for lv in A.levels], modality="motion")
+        A = build_contextual_facts(units, pyr)
+        B = ContextualFactSet(levels=[Tensor(lv.data.copy()) for lv in A.levels])
         from comem.memory import memory_cycle
         m1, _, c_a, c_b = memory_cycle(A, B, init_memory(q, cm), q, cm)
         m_h, _ = run_episodes(A, B, q, cm, cycles=2)
@@ -123,10 +123,8 @@ def test_criterion_03_softmax_normalizations_100_draws():
         p = CoMemoryParams.create(store, "cm", fact_dim=3, memory_dim=4,
                                   question_dim=2, gate_dim=3, context_dim=3)
         rng = _rng(1000 + seed)
-        A = ContextualFactSet(levels=[Tensor(rng.standard_normal((5, 3))) for _ in range(3)],
-                              modality="appearance")
-        B = ContextualFactSet(levels=[Tensor(rng.standard_normal((5, 3))) for _ in range(3)],
-                              modality="motion")
+        A = ContextualFactSet(levels=[Tensor(rng.standard_normal((5, 3))) for _ in range(3)])
+        B = ContextualFactSet(levels=[Tensor(rng.standard_normal((5, 3))) for _ in range(3)])
         _, all_maps = run_episodes(A, B, Tensor(rng.standard_normal(2)), p, cycles=2)
         for maps in all_maps:
             for s in (maps.sa_levels, maps.sb_levels):
@@ -146,10 +144,8 @@ def test_criterion_04_cross_modal_coupling_10_seeds():
         p = CoMemoryParams.create(store, "cm", fact_dim=3, memory_dim=4,
                                   question_dim=2, gate_dim=3, context_dim=3)
         rng = _rng(2000 + seed)
-        A = ContextualFactSet(levels=[Tensor(rng.standard_normal((4, 3))) for _ in range(2)],
-                              modality="appearance")
-        B = ContextualFactSet(levels=[Tensor(rng.standard_normal((4, 3))) for _ in range(2)],
-                              modality="motion")
+        A = ContextualFactSet(levels=[Tensor(rng.standard_normal((4, 3))) for _ in range(2)])
+        B = ContextualFactSet(levels=[Tensor(rng.standard_normal((4, 3))) for _ in range(2)])
         q = Tensor(rng.standard_normal(2))
         weights = rng.standard_normal((2, 4))
 
@@ -162,12 +158,12 @@ def test_criterion_04_cross_modal_coupling_10_seeds():
             other = m.m_b if own_gate == "a" else m.m_a
             return other.grad
 
-        assert np.abs(jacobian_row_sum(p.w_a3, "a")).max() > 0.0, f"seed {seed}: ga blind to m_b"
-        assert np.abs(jacobian_row_sum(p.w_b3, "b")).max() > 0.0, f"seed {seed}: gb blind to m_a"
-        p.w_a3.data[...] = 0.0
-        assert np.all(jacobian_row_sum(p.w_a3, "a") == 0.0), f"seed {seed}: W_a3=0 left coupling"
-        p.w_b3.data[...] = 0.0
-        assert np.all(jacobian_row_sum(p.w_b3, "b") == 0.0), f"seed {seed}: W_b3=0 left coupling"
+        assert np.abs(jacobian_row_sum(p.a.w3, "a")).max() > 0.0, f"seed {seed}: ga blind to m_b"
+        assert np.abs(jacobian_row_sum(p.b.w3, "b")).max() > 0.0, f"seed {seed}: gb blind to m_a"
+        p.a.w3.data[...] = 0.0
+        assert np.all(jacobian_row_sum(p.a.w3, "a") == 0.0), f"seed {seed}: W_a3=0 left coupling"
+        p.b.w3.data[...] = 0.0
+        assert np.all(jacobian_row_sum(p.b.w3, "b") == 0.0), f"seed {seed}: W_b3=0 left coupling"
     _ok(4, "(gate Jacobian nonzero iff the cross weight is nonzero, 10 seeds, both modalities)")
 
 
@@ -211,12 +207,11 @@ def test_criterion_05_attention_gru_oracles():
 
 def test_criterion_06_ensemble_oracles():
     rng = _rng(6)
-    one = ContextualFactSet(levels=[Tensor(rng.standard_normal((5, 3)))], modality="appearance")
+    one = ContextualFactSet(levels=[Tensor(rng.standard_normal((5, 3)))])
     out = dynamic_fact_ensemble(one, Tensor(np.ones((1, 5))))
     assert np.array_equal(out.data, one.levels[0].data), "N=1 must be the identity"
 
-    three = ContextualFactSet(levels=[Tensor(rng.standard_normal((4, 2))) for _ in range(3)],
-                              modality="motion")
+    three = ContextualFactSet(levels=[Tensor(rng.standard_normal((4, 2))) for _ in range(3)])
     out = dynamic_fact_ensemble(three, Tensor(np.full((3, 4), 1 / 3)))
     mean = np.mean([lv.data for lv in three.levels], axis=0)
     assert np.allclose(out.data, mean, atol=1e-12), "uniform weights must give the level mean"
@@ -227,7 +222,7 @@ def test_criterion_06_ensemble_oracles():
         levels = [r.standard_normal((6, 3)) for _ in range(2)]
         logits = r.standard_normal((2, 6))
         s = np.exp(logits) / np.exp(logits).sum(axis=0, keepdims=True)
-        F = ContextualFactSet(levels=[Tensor(lv) for lv in levels], modality="appearance")
+        F = ContextualFactSet(levels=[Tensor(lv) for lv in levels])
         out = dynamic_fact_ensemble(F, Tensor(s)).data
         for j in range(6):
             expected = s[0, j] * levels[0][j] + s[1, j] * levels[1][j]

@@ -24,9 +24,9 @@ def _pyramid(seed, input_width, channels, levels, dtype=np.float64):
 
 def test_fact_set_validates_levels():
     with pytest.raises(DomainError):
-        ContextualFactSet(levels=[], modality="appearance")
+        ContextualFactSet(levels=[])
     with pytest.raises(DimensionError):
-        ContextualFactSet(levels=[Tensor(np.zeros((4, 2))), Tensor(np.zeros((3, 2)))], modality="motion")
+        ContextualFactSet(levels=[Tensor(np.zeros((4, 2))), Tensor(np.zeros((3, 2)))])
 
 
 def test_paper_scale_shapes():
@@ -88,11 +88,9 @@ def test_batched_build_matches_per_item():
 def test_geometry_rejections():
     p, _ = _pyramid(5, 2, 2, 3)
     with pytest.raises(GeometryError):
-        build_contextual_facts(Tensor(np.zeros((4, 2))), p, num_levels=3)  # coarsest 1
+        build_contextual_facts(Tensor(np.zeros((4, 2))), p)  # coarsest 1
     with pytest.raises(DomainError):
-        build_contextual_facts(Tensor(np.zeros((8, 2))), p, num_levels=4)
-    with pytest.raises(DomainError):
-        build_contextual_facts(Tensor(np.zeros((8, 2))), p, num_levels=0)
+        _pyramid(5, 2, 2, 0)
 
 
 def test_level1_locality_of_single_unit_perturbation():
@@ -116,12 +114,12 @@ def _perturbation_field(level, base_length, seed):
     units = rng.standard_normal((base_length, 2))
     # bias the graph away from dead ReLUs so reachability is visible
     units = np.abs(units) + 0.5
-    base = build_contextual_facts(Tensor(units), p, num_levels=level).levels[level - 1].data
+    base = build_contextual_facts(Tensor(units), p).levels[level - 1].data
     widest = 0
     for u in range(base_length):
         bumped = units.copy()
         bumped[u] += 3.0
-        out = build_contextual_facts(Tensor(bumped), p, num_levels=level).levels[level - 1].data
+        out = build_contextual_facts(Tensor(bumped), p).levels[level - 1].data
         changed = int((np.abs(out - base).max(axis=-1) > 1e-9).sum())
         widest = max(widest, changed)
     return widest
@@ -173,10 +171,8 @@ def test_pyramid_gradients_on_toy_config():
     assert err <= 1e-4
 
 
-def test_stacked_shape_and_cache():
+def test_stacked_shape():
     rng = _rng(12)
     p, _ = _pyramid(12, 3, 2, 2)
     facts = build_contextual_facts(Tensor(rng.standard_normal((6, 3))), p)
-    s = facts.stacked()
-    assert s.data.shape == (2, 6, 2)
-    assert facts.stacked() is s
+    assert facts.stacked().data.shape == (2, 6, 2)

@@ -32,13 +32,10 @@ def _params(seed, dtype=np.float64, **overrides):
     return CoMemoryParams.create(store, "cm", **dims), store, dims
 
 
-def _facts(seed, n_levels, L, C, modality="appearance", batch=None):
+def _facts(seed, n_levels, L, C, batch=None):
     rng = _rng(seed)
     shape = (L, C) if batch is None else (batch, L, C)
-    return ContextualFactSet(
-        levels=[Tensor(rng.standard_normal(shape)) for _ in range(n_levels)],
-        modality=modality,
-    )
+    return ContextualFactSet(levels=[Tensor(rng.standard_normal(shape)) for _ in range(n_levels)])
 
 
 def _state(seed, memory_dim, batch=None):
@@ -58,7 +55,7 @@ def _question(seed, qdim, batch=None):
 
 def test_init_memory_zero_projection_is_zero():
     p, _, dims = _params(0)
-    p.proj_a.data[...] = 0.0
+    p.a.proj.data[...] = 0.0
     q = _question(0, dims["question_dim"])
     m = init_memory(q, p)
     assert np.allclose(m.m_a.data, 0.0)
@@ -70,7 +67,7 @@ def test_init_memory_is_relu_affine():
     p, _, dims = _params(1)
     q = _question(1, dims["question_dim"])
     m = init_memory(q, p)
-    assert np.allclose(m.m_a.data, np.maximum(q.data @ p.proj_a.data, 0.0), atol=1e-12)
+    assert np.allclose(m.m_a.data, np.maximum(q.data @ p.a.proj.data, 0.0), atol=1e-12)
 
 
 def test_paper_scale_memory_widths():
@@ -86,9 +83,9 @@ def test_paper_scale_memory_widths():
 
 def test_zero_gate_weight_gives_uniform_softmaxes():
     p, _, dims = _params(3)
-    p.w_a4.data[...] = 0.0
-    A = _facts(3, 2, 5, dims["fact_dim"], "appearance")
-    B = _facts(4, 2, 5, dims["fact_dim"], "motion")
+    p.a.w4.data[...] = 0.0
+    A = _facts(3, 2, 5, dims["fact_dim"])
+    B = _facts(4, 2, 5, dims["fact_dim"])
     maps = co_attention(A, B, _state(5, dims["memory_dim"]), _question(6, dims["question_dim"]), p)
     assert np.allclose(maps.ga.data, 0.0, atol=1e-12)
     assert np.allclose(maps.sa_levels.data, 0.5, atol=1e-9)
@@ -97,8 +94,8 @@ def test_zero_gate_weight_gives_uniform_softmaxes():
 
 def test_single_level_weights_are_one():
     p, _, dims = _params(4)
-    A = _facts(7, 1, 4, dims["fact_dim"], "appearance")
-    B = _facts(8, 1, 4, dims["fact_dim"], "motion")
+    A = _facts(7, 1, 4, dims["fact_dim"])
+    B = _facts(8, 1, 4, dims["fact_dim"])
     maps = co_attention(A, B, _state(9, dims["memory_dim"]), _question(10, dims["question_dim"]), p)
     assert np.allclose(maps.sa_levels.data, 1.0, atol=1e-9)
     assert np.allclose(maps.sb_levels.data, 1.0, atol=1e-9)
@@ -107,8 +104,8 @@ def test_single_level_weights_are_one():
 def test_gates_match_hand_evaluation():
     p, _, dims = _params(5)
     L, N = 2, 2
-    A = _facts(11, N, L, dims["fact_dim"], "appearance")
-    B = _facts(12, N, L, dims["fact_dim"], "motion")
+    A = _facts(11, N, L, dims["fact_dim"])
+    B = _facts(12, N, L, dims["fact_dim"])
     m = _state(13, dims["memory_dim"])
     q = _question(14, dims["question_dim"])
     maps = co_attention(A, B, m, q, p)
@@ -117,8 +114,8 @@ def test_gates_match_hand_evaluation():
     fa = np.stack([lv.data for lv in A.levels])  # (N, L, C)
     for i in range(N):
         for j in range(L):
-            za = np.tanh((fa[i, j] + mq_a @ p.w_a1.data) @ p.w_a2.data + mq_b @ p.w_a3.data)
-            ga = za @ p.w_a4.data
+            za = np.tanh((fa[i, j] + mq_a @ p.a.w1.data) @ p.a.w2.data + mq_b @ p.a.w3.data)
+            ga = za @ p.a.w4.data
             assert np.allclose(maps.ga.data[i, j], ga[0], atol=1e-7)
     # softmax over levels column-wise
     e = np.exp(maps.ga.data - maps.ga.data.max(axis=0, keepdims=True))
@@ -131,8 +128,8 @@ def test_gates_match_hand_evaluation():
 def test_cross_modal_coupling_present_and_removable():
     for seed in range(10):
         p, _, dims = _params(20 + seed)
-        A = _facts(seed, 2, 3, dims["fact_dim"], "appearance")
-        B = _facts(seed + 50, 2, 3, dims["fact_dim"], "motion")
+        A = _facts(seed, 2, 3, dims["fact_dim"])
+        B = _facts(seed + 50, 2, 3, dims["fact_dim"])
         q = _question(seed + 100, dims["question_dim"])
         m = _state(seed + 150, dims["memory_dim"])
         m.m_b.requires_grad = True
@@ -143,7 +140,7 @@ def test_cross_modal_coupling_present_and_removable():
 
         # removing the outer weight severs the coupling exactly
         m.m_b.grad = None
-        p.w_a3.data[...] = 0.0
+        p.a.w3.data[...] = 0.0
         base = co_attention(A, B, m, q, p).ga.data
         m2 = MemoryState(m_a=m.m_a, m_b=Tensor(m.m_b.data + 5.0))
         moved = co_attention(A, B, m2, q, p).ga.data
@@ -153,8 +150,8 @@ def test_cross_modal_coupling_present_and_removable():
 def test_other_memory_moves_both_attention_weights():
     """The softmaxes cancel any per-row constant, so the other memory must act inside the gate."""
     p, _, dims = _params(21)
-    A = _facts(80, 2, 3, dims["fact_dim"], "appearance")
-    B = _facts(81, 2, 3, dims["fact_dim"], "motion")
+    A = _facts(80, 2, 3, dims["fact_dim"])
+    B = _facts(81, 2, 3, dims["fact_dim"])
     q = _question(82, dims["question_dim"])
     m = _state(83, dims["memory_dim"])
     base = co_attention(A, B, m, q, p)
@@ -167,8 +164,8 @@ def test_other_memory_moves_both_attention_weights():
 
 def test_level_softmax_is_shift_invariant_along_levels():
     p, _, dims = _params(6)
-    A = _facts(30, 2, 3, dims["fact_dim"], "appearance")
-    B = _facts(31, 2, 3, dims["fact_dim"], "motion")
+    A = _facts(30, 2, 3, dims["fact_dim"])
+    B = _facts(31, 2, 3, dims["fact_dim"])
     maps = co_attention(A, B, _state(32, dims["memory_dim"]), _question(33, dims["question_dim"]), p)
     shifted = maps.ga.data + 7.5  # constant across levels at every step
     e = np.exp(shifted - shifted.max(axis=0, keepdims=True))
@@ -177,8 +174,8 @@ def test_level_softmax_is_shift_invariant_along_levels():
 
 def test_co_attention_rejects_mismatched_fact_sets():
     p, _, dims = _params(7)
-    A = _facts(34, 2, 4, dims["fact_dim"], "appearance")
-    B = _facts(35, 3, 4, dims["fact_dim"], "motion")
+    A = _facts(34, 2, 4, dims["fact_dim"])
+    B = _facts(35, 3, 4, dims["fact_dim"])
     with pytest.raises(DimensionError):
         co_attention(A, B, _state(36, dims["memory_dim"]), _question(37, dims["question_dim"]), p)
 
@@ -201,7 +198,7 @@ def test_ensemble_uniform_weights_average_levels():
 
 def test_ensemble_matches_weighted_sum_loop():
     levels = [Tensor(np.array([[1.0], [2.0]])), Tensor(np.array([[-3.0], [4.0]]))]
-    F = ContextualFactSet(levels=levels, modality="appearance")
+    F = ContextualFactSet(levels=levels)
     s = np.array([[0.3, 0.8], [0.7, 0.2]])
     out = dynamic_fact_ensemble(F, Tensor(s)).data
     for j in range(2):
@@ -231,22 +228,22 @@ def test_zero_step_gates_reduce_update_to_memory_question(monkeypatch):
 
     monkeypatch.setattr(memory, "co_attention", zero_step_gates)
     p, _, dims = _params(8)
-    A = _facts(50, 2, 4, dims["fact_dim"], "appearance")
-    B = _facts(51, 2, 4, dims["fact_dim"], "motion")
+    A = _facts(50, 2, 4, dims["fact_dim"])
+    B = _facts(51, 2, 4, dims["fact_dim"])
     q = _question(52, dims["question_dim"])
     m0 = init_memory(q, p)
     m1, maps, c_a, c_b = memory_cycle(A, B, m0, q, p)
     assert np.allclose(c_a.data, 0.0) and np.allclose(c_b.data, 0.0)
     concat = np.concatenate([m0.m_a.data, q.data, np.zeros(dims["context_dim"])])
-    expected = np.maximum(concat @ p.upd_a_w.data + p.upd_a_b.data, 0.0)
+    expected = np.maximum(concat @ p.a.upd_w.data + p.a.upd_b.data, 0.0)
     assert np.allclose(m1.m_a.data, expected, atol=1e-10)
 
 
 def test_cycle_output_dims_paper_scale():
     p, _, dims = _params(9, dtype=np.float32, fact_dim=6, memory_dim=1024,
                          question_dim=512, gate_dim=512, context_dim=512)
-    A = _facts(53, 2, 4, 6, "appearance")
-    B = _facts(54, 2, 4, 6, "motion")
+    A = _facts(53, 2, 4, 6)
+    B = _facts(54, 2, 4, 6)
     for F in (A, B):
         for lv in F.levels:
             lv.data = lv.data.astype(np.float32)
@@ -262,23 +259,23 @@ def test_cycle_matches_composition_of_suboperations():
     from comem.encoders import attention_gru_encode
 
     p, _, dims = _params(10)
-    A = _facts(56, 2, 4, dims["fact_dim"], "appearance")
-    B = _facts(57, 2, 4, dims["fact_dim"], "motion")
+    A = _facts(56, 2, 4, dims["fact_dim"])
+    B = _facts(57, 2, 4, dims["fact_dim"])
     q = _question(58, dims["question_dim"])
     m0 = _state(59, dims["memory_dim"])
     m1, maps, c_a, c_b = memory_cycle(A, B, m0, q, p)
     maps2 = co_attention(A, B, m0, q, p)
     ens_a = dynamic_fact_ensemble(A, maps2.sa_levels)
-    c_a2 = attention_gru_encode(T.affine(ens_a, p.gru_a.w, p.gru_a.b), maps2.sa_steps, p.gru_a)
+    c_a2 = attention_gru_encode(T.affine(ens_a, p.a.gru.w, p.a.gru.b), maps2.sa_steps, p.a.gru)
     assert np.allclose(c_a.data, c_a2.data, atol=1e-10)
     upd_in = np.concatenate([m0.m_a.data, q.data, c_a2.data])
-    assert np.allclose(m1.m_a.data, np.maximum(upd_in @ p.upd_a_w.data + p.upd_a_b.data, 0.0), atol=1e-10)
+    assert np.allclose(m1.m_a.data, np.maximum(upd_in @ p.a.upd_w.data + p.a.upd_b.data, 0.0), atol=1e-10)
 
 
 def test_run_episodes_single_cycle_base_case():
     p, _, dims = _params(11)
-    A = _facts(60, 2, 4, dims["fact_dim"], "appearance")
-    B = _facts(61, 2, 4, dims["fact_dim"], "motion")
+    A = _facts(60, 2, 4, dims["fact_dim"])
+    B = _facts(61, 2, 4, dims["fact_dim"])
     q = _question(62, dims["question_dim"])
     m_h, maps = run_episodes(A, B, q, p, cycles=1)
     m1, _, _, _ = memory_cycle(A, B, init_memory(q, p), q, p)
@@ -288,16 +285,16 @@ def test_run_episodes_single_cycle_base_case():
 
 def test_run_episodes_rejects_nonpositive_cycles():
     p, _, dims = _params(12)
-    A = _facts(63, 2, 4, dims["fact_dim"], "appearance")
-    B = _facts(64, 2, 4, dims["fact_dim"], "motion")
+    A = _facts(63, 2, 4, dims["fact_dim"])
+    B = _facts(64, 2, 4, dims["fact_dim"])
     with pytest.raises(DomainError):
         run_episodes(A, B, _question(65, dims["question_dim"]), p, cycles=0)
 
 
 def test_run_episodes_deterministic():
     p, _, dims = _params(13)
-    A = _facts(66, 2, 4, dims["fact_dim"], "appearance")
-    B = _facts(67, 2, 4, dims["fact_dim"], "motion")
+    A = _facts(66, 2, 4, dims["fact_dim"])
+    B = _facts(67, 2, 4, dims["fact_dim"])
     q = _question(68, dims["question_dim"])
     m1, _ = run_episodes(A, B, q, p, cycles=2)
     m2, _ = run_episodes(A, B, q, p, cycles=2)
@@ -308,8 +305,8 @@ def test_normalizations_hold_for_100_random_draws():
     worst_level, worst_step = 0.0, 0.0
     for seed in range(100):
         p, _, dims = _params(200 + seed)
-        A = _facts(seed, 3, 5, dims["fact_dim"], "appearance")
-        B = _facts(seed + 1000, 3, 5, dims["fact_dim"], "motion")
+        A = _facts(seed, 3, 5, dims["fact_dim"])
+        B = _facts(seed + 1000, 3, 5, dims["fact_dim"])
         q = _question(seed + 2000, dims["question_dim"])
         _, all_maps = run_episodes(A, B, q, p, cycles=2)
         for maps in all_maps:
@@ -323,13 +320,13 @@ def test_normalizations_hold_for_100_random_draws():
 def test_batched_episodes_match_per_item():
     p, _, dims = _params(14)
     batch = 3
-    A = _facts(70, 2, 4, dims["fact_dim"], "appearance", batch=batch)
-    B = _facts(71, 2, 4, dims["fact_dim"], "motion", batch=batch)
+    A = _facts(70, 2, 4, dims["fact_dim"], batch=batch)
+    B = _facts(71, 2, 4, dims["fact_dim"], batch=batch)
     q = _question(72, dims["question_dim"], batch=batch)
     m_h, _ = run_episodes(A, B, q, p, cycles=2)
     for b in range(batch):
-        Ab = ContextualFactSet(levels=[Tensor(lv.data[b]) for lv in A.levels], modality="appearance")
-        Bb = ContextualFactSet(levels=[Tensor(lv.data[b]) for lv in B.levels], modality="motion")
+        Ab = ContextualFactSet(levels=[Tensor(lv.data[b]) for lv in A.levels])
+        Bb = ContextualFactSet(levels=[Tensor(lv.data[b]) for lv in B.levels])
         single, _ = run_episodes(Ab, Bb, Tensor(q.data[b]), p, cycles=2)
         assert np.allclose(m_h.data[b], single.data, atol=1e-8)
 
@@ -338,16 +335,12 @@ def test_full_loop_gradients_tiny_config():
     p, store, dims = _params(15)
     rng = _rng(73)
     A = ContextualFactSet(
-        levels=[Tensor(rng.standard_normal((4, dims["fact_dim"])), requires_grad=True) for _ in range(2)],
-        modality="appearance")
+        levels=[Tensor(rng.standard_normal((4, dims["fact_dim"])), requires_grad=True) for _ in range(2)])
     B = ContextualFactSet(
-        levels=[Tensor(rng.standard_normal((4, dims["fact_dim"])), requires_grad=True) for _ in range(2)],
-        modality="motion")
+        levels=[Tensor(rng.standard_normal((4, dims["fact_dim"])), requires_grad=True) for _ in range(2)])
     q = Tensor(rng.standard_normal(dims["question_dim"]), requires_grad=True)
 
     def f():
-        A._stacked = None
-        B._stacked = None
         m_h, _ = run_episodes(A, B, q, p, cycles=2)
         return T.tsum(T.square(m_h))
 
@@ -355,10 +348,29 @@ def test_full_loop_gradients_tiny_config():
     assert grad_check(f, tensors, eps=1e-5, max_coords=2) <= 1e-4
 
 
+def test_fact_sets_support_repeated_forward_backward():
+    """Each forward stacks the levels afresh, so a second pass over the same fact sets backpropagates too."""
+    p, store, dims = _params(17)
+    rng = _rng(77)
+    A, B = (ContextualFactSet(levels=[Tensor(rng.standard_normal((4, dims["fact_dim"])), requires_grad=True)
+                                      for _ in range(2)]) for _ in range(2))
+    q = _question(78, dims["question_dim"])
+    leaves = store.tensors() + A.levels + B.levels
+    grads = []
+    for _ in range(2):
+        for t in leaves:
+            t.grad = None
+        m_h, _ = run_episodes(A, B, q, p, cycles=2)
+        T.tsum(T.square(m_h)).backward()
+        grads.append([t.grad.copy() for t in leaves])
+    for first, second in zip(*grads):
+        assert np.array_equal(first, second)
+
+
 def test_attention_maps_export_layout():
     p, _, dims = _params(16)
-    A = _facts(74, 2, 4, dims["fact_dim"], "appearance")
-    B = _facts(75, 2, 4, dims["fact_dim"], "motion")
+    A = _facts(74, 2, 4, dims["fact_dim"])
+    B = _facts(75, 2, 4, dims["fact_dim"])
     _, all_maps = run_episodes(A, B, _question(76, dims["question_dim"]), p, cycles=2)
     exported = all_maps[1].export()
     assert exported["cycle"] == 2
