@@ -148,14 +148,14 @@ def _cmd_inspect(args) -> int:
     return EXIT_OK
 
 
-def full_model_gradcheck(seed: int = 0, max_coords: int = 2) -> float:
+def full_model_gradcheck(seed: int = 0) -> float:
     """Finite-difference check of the tiny model across all four task losses; returns max error."""
     from .verification import build_gradcheck_case
 
     worst = 0.0
     for task in TaskKind:
         f, tensors = build_gradcheck_case(task.value, seed=seed)
-        worst = max(worst, grad_check(f, tensors, eps=1e-4, max_coords=max_coords, seed=seed))
+        worst = max(worst, grad_check(f, tensors, eps=1e-4, max_coords=2, seed=seed))
     return worst
 
 

@@ -407,6 +407,8 @@ def split_of(index: int, episodes: int) -> str:
 
 def generate_dataset(spec: SyntheticSpec, episodes: int, out_dir, force: bool = False) -> dict:
     """Write feature files, per-task QA splits, vocab, traces, and a manifest."""
+    if episodes < 1:
+        raise DomainError(f"episodes must be positive, got {episodes}")
     out = Path(out_dir)
     if out.exists() and any(out.iterdir()) and not force:
         raise DomainError(f"{out}: directory not empty (use force to overwrite)")

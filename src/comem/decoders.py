@@ -49,12 +49,12 @@ class DecoderParams:
             p.w_m = store.add(f"{prefix}.w_m", (memory_dim, 1))
         elif task is TaskKind.REPETITION_COUNT:
             p.w_n = store.add(f"{prefix}.w_n", (memory_dim, 1))
-            p.b_n = store.add(f"{prefix}.b_n", (1,), init="zeros")
+            p.b_n = store.add(f"{prefix}.b_n", (1,))
         else:
             if answer_vocab < 1:
                 raise DomainError("word classifier needs a positive answer vocabulary size")
             p.w_w = store.add(f"{prefix}.w_w", (memory_dim, answer_vocab))
-            p.b_w = store.add(f"{prefix}.b_w", (answer_vocab,), init="zeros")
+            p.b_w = store.add(f"{prefix}.b_w", (answer_vocab,))
         return p
 
 

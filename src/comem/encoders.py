@@ -39,7 +39,7 @@ class GruParams:
         # fan_out=H gives every H-wide gate block its own Glorot bound
         return GruParams(
             w=store.add(f"{prefix}.w", (input_size, gates * H), fan_out=H),
-            b=store.add(f"{prefix}.b", (gates * H,), init="zeros"),
+            b=store.add(f"{prefix}.b", (gates * H,)),
             u_gates=store.add(f"{prefix}.u_gates", (H, (gates - 1) * H), fan_out=H),
             u_h=store.add(f"{prefix}.u_h", (H, H)),
         )

@@ -29,32 +29,34 @@ class MemoryState:
 
 
 @dataclass
-class AttentionMaps:
-    """Raw gates and both softmax normalizations for one cycle.
+class ModalityMaps:
+    """One modality's raw gates and both softmax normalizations for one cycle.
 
-    ``ga``/``gb``: (..., N, L) raw gates.  ``sa_levels``/``sb_levels``:
-    softmax over the level axis (columns sum to 1).  ``sa_steps``/
-    ``sb_steps``: softmax over the step axis of the level-mean gate.
+    ``gates``: (..., N, L) raw gates.  ``levels``: softmax over the level
+    axis (columns sum to 1).  ``steps``: softmax over the step axis of the
+    level-mean gate.
     """
 
-    ga: Tensor
-    gb: Tensor
-    sa_levels: Tensor
-    sb_levels: Tensor
-    sa_steps: Tensor
-    sb_steps: Tensor
+    gates: Tensor
+    levels: Tensor
+    steps: Tensor
+
+    def export(self, index: tuple) -> dict:
+        return {name: np.asarray(t.data[index], dtype=np.float64).tolist()
+                for name, t in (("levels", self.levels), ("steps", self.steps))}
+
+
+@dataclass
+class AttentionMaps:
+    """The appearance (``a``) and motion (``b``) maps of one cycle."""
+
+    a: ModalityMaps
+    b: ModalityMaps
     cycle: int = 0
 
     def export(self, index: tuple = ()) -> dict:
         """Both normalizations as nested lists; ``index`` picks one row, e.g. ``(0, k)``."""
-        def tolist(t: Tensor):
-            return np.asarray(t.data[index], dtype=np.float64).tolist()
-
-        return {
-            "cycle": self.cycle,
-            "appearance": {"levels": tolist(self.sa_levels), "steps": tolist(self.sa_steps)},
-            "motion": {"levels": tolist(self.sb_levels), "steps": tolist(self.sb_steps)},
-        }
+        return {"cycle": self.cycle, "appearance": self.a.export(index), "motion": self.b.export(index)}
 
 
 @dataclass
@@ -95,7 +97,7 @@ class CoMemoryParams:
         w = {m: [store.add(f"{prefix}.w_{m}{i}", shape) for i, shape in enumerate(attn_shapes, 1)] for m in "ab"}
         proj = {m: store.add(f"{prefix}.proj_{m}", (question_dim, memory_dim)) for m in "ab"}
         upd = {m: (store.add(f"{prefix}.upd_{m}_w", (upd_in, memory_dim)),
-                   store.add(f"{prefix}.upd_{m}_b", (memory_dim,), init="zeros")) for m in "ab"}
+                   store.add(f"{prefix}.upd_{m}_b", (memory_dim,))) for m in "ab"}
         gru = {m: GruParams.create(store, f"{prefix}.gru_{m}", fact_dim, context_dim, update_gate=False) for m in "ab"}
         a, b = (ModalityParams(*w[m], proj[m], *upd[m], gru[m]) for m in "ab")
         return CoMemoryParams(a=a, b=b)
@@ -103,41 +105,36 @@ class CoMemoryParams:
 
 def init_memory(q: Tensor, p: CoMemoryParams) -> MemoryState:
     """Initial memories: separate learned ReLU projections of the question."""
-    return MemoryState(
-        m_a=T.relu(T.matmul(q, p.a.proj)),
-        m_b=T.relu(T.matmul(q, p.b.proj)),
-        cycle=0,
-    )
+    return MemoryState(m_a=T.relu(T.matmul(q, p.a.proj)), m_b=T.relu(T.matmul(q, p.b.proj)))
 
 
 @dataclass
 class FactProjections:
-    """Memory-independent linear maps of both fact sets, computed once per forward.
+    """One modality's memory-independent linear maps of its facts, computed once per forward.
 
-    ``gate_*``: (..., N, L, Z), the facts times the second attention weight.
-    ``gru_*``: (..., N, L, 2H), every level through its fact GRU's input
+    ``gate``: (..., N, L, Z), the facts times the second attention weight.
+    ``gru``: (..., N, L, 2H), every level through the fact GRU's input
     weights and biases, ``f @ w + b``.
     """
 
-    gate_a: Tensor
-    gate_b: Tensor
-    gru_a: Tensor
-    gru_b: Tensor
+    gate: Tensor
+    gru: Tensor
 
 
-def fact_projections(A: ContextualFactSet, B: ContextualFactSet, p: CoMemoryParams) -> FactProjections:
+def fact_projections(A: ContextualFactSet, B: ContextualFactSet, p: CoMemoryParams) -> tuple[FactProjections, FactProjections]:
     """Project the untiled facts once; every cycle and every candidate reuses them.
 
     ``tanh(W2 (f + inner))`` distributes to ``tanh(W2 f + W2 inner)``, so
     ``W2 f`` is shared.  The fact GRU's input map is affine and each step's
     level weights sum to 1, so ``proj(sum_i s_i f_i) = sum_i s_i proj(f_i)``:
     the level ensemble can mix projected levels instead of raw facts.
+    Returns the (appearance, motion) projections.
     """
-    fa, fb = A.stacked(), B.stacked()
-    return FactProjections(
-        gate_a=T.matmul(fa, p.a.w2), gate_b=T.matmul(fb, p.b.w2),
-        gru_a=T.affine(fa, p.a.gru.w, p.a.gru.b), gru_b=T.affine(fb, p.b.gru.w, p.b.gru.b),
-    )
+    def project(F: ContextualFactSet, mp: ModalityParams) -> FactProjections:
+        f = F.stacked()
+        return FactProjections(gate=T.matmul(f, mp.w2), gru=T.affine(f, mp.gru.w, mp.gru.b))
+
+    return project(A, p.a), project(B, p.b)
 
 
 def _with_candidate_axis(facts: Tensor, q: Tensor) -> Tensor:
@@ -155,20 +152,21 @@ def _with_candidate_axis(facts: Tensor, q: Tensor) -> Tensor:
     return T.reshape(facts, shape[:-3] + (1,) + shape[-3:])
 
 
-def _gates_one_modality(gate_proj: Tensor, m_own: Tensor, m_other: Tensor, q: Tensor, mp: ModalityParams) -> Tensor:
-    """Raw gates ``tanh(W2 f + W2 W1 [m; q] + W3 [m_other; q]) . w4`` for all levels/steps of one modality.
+def _attend(fp: FactProjections, m_own: Tensor, m_other: Tensor, q: Tensor, mp: ModalityParams) -> ModalityMaps:
+    """One modality's gates ``tanh(W2 f + W2 W1 [m; q] + W3 [m_other; q]) . w4`` and their softmaxes.
 
-    ``gate_proj``: (..., [1,] N, L, Z), the untiled facts already multiplied
-    by ``mp.w2``.  The inner term uses the modality's own memory, the outer
-    term the other modality's memory; both are (..., Z) vectors added inside
-    the ``tanh``, so the other memory moves the level and step softmaxes.
-    Returns (..., [K,] N, L).
+    ``fp.gate`` holds the untiled facts already multiplied by ``mp.w2``.
+    The inner term uses the modality's own memory, the outer term the other
+    modality's memory; both are (..., Z) vectors added inside the ``tanh``,
+    so the other memory moves the level and step softmaxes.  The maps are
+    (..., [K,] N, L), the step softmax (..., [K,] L).
     """
     inner = T.matmul(T.matmul(T.concat([m_own, q], axis=-1), mp.w1), mp.w2)  # (..., Z)
     inner = inner + T.matmul(T.concat([m_other, q], axis=-1), mp.w3)
     inner = T.reshape(inner, inner.data.shape[:-1] + (1, 1, inner.data.shape[-1]))
-    g = T.matmul(T.tanh(gate_proj + inner), mp.w4)
-    return T.reshape(g, g.data.shape[:-1])
+    g = T.matmul(T.tanh(_with_candidate_axis(fp.gate, q) + inner), mp.w4)
+    g = T.reshape(g, g.data.shape[:-1])
+    return ModalityMaps(gates=g, levels=T.softmax(g, axis=-2), steps=T.softmax(T.tmean(g, axis=-2), axis=-1))
 
 
 def co_attention(
@@ -177,7 +175,7 @@ def co_attention(
     m: MemoryState,
     q: Tensor,
     p: CoMemoryParams,
-    facts_proj: FactProjections | None = None,
+    facts_proj: tuple[FactProjections, FactProjections] | None = None,
 ) -> AttentionMaps:
     """Cross-modal gates plus the level-axis and step-axis softmaxes.
 
@@ -188,25 +186,16 @@ def co_attention(
         raise DimensionError(
             f"co_attention: fact sets disagree: {A.num_levels}x{A.length} vs {B.num_levels}x{B.length}"
         )
-    if facts_proj is None:
-        facts_proj = fact_projections(A, B, p)
-    fa_p = _with_candidate_axis(facts_proj.gate_a, q)
-    fb_p = _with_candidate_axis(facts_proj.gate_b, q)
-    ga = _gates_one_modality(fa_p, m.m_a, m.m_b, q, p.a)
-    gb = _gates_one_modality(fb_p, m.m_b, m.m_a, q, p.b)
-    sa_levels = T.softmax(ga, axis=-2)
-    sb_levels = T.softmax(gb, axis=-2)
-    sa_steps = T.softmax(T.tmean(ga, axis=-2), axis=-1)
-    sb_steps = T.softmax(T.tmean(gb, axis=-2), axis=-1)
-    return AttentionMaps(ga=ga, gb=gb, sa_levels=sa_levels, sb_levels=sb_levels,
-                         sa_steps=sa_steps, sb_steps=sb_steps, cycle=m.cycle + 1)
+    fp_a, fp_b = fact_projections(A, B, p) if facts_proj is None else facts_proj
+    return AttentionMaps(a=_attend(fp_a, m.m_a, m.m_b, q, p.a), b=_attend(fp_b, m.m_b, m.m_a, q, p.b),
+                         cycle=m.cycle + 1)
 
 
 def dynamic_fact_ensemble(F: ContextualFactSet | Tensor, s_levels: Tensor) -> Tensor:
     """Per-step weighted average of levels: ``f_j = sum_i s[i, j] f_j^i``.
 
     ``F`` is a fact set or any per-level tensor (..., N, L, D) shared by all
-    candidates, such as ``FactProjections.gru_a``.  ``s_levels`` is
+    candidates, such as ``FactProjections.gru``.  ``s_levels`` is
     (..., N, L), or (..., K, N, L) with one weight set per candidate; the
     result is (..., L, D) or (..., K, L, D).  The levels are never tiled K
     times: ``T.mix_levels`` contracts the weights against them directly.
@@ -224,28 +213,30 @@ def dynamic_fact_ensemble(F: ContextualFactSet | Tensor, s_levels: Tensor) -> Te
     return T.reshape(mixed, shape[:-2] + mixed.data.shape[-2:])
 
 
+def _update(fp: FactProjections, maps: ModalityMaps, m_own: Tensor, q: Tensor, mp: ModalityParams) -> tuple[Tensor, Tensor]:
+    """One modality's level ensemble, fact GRU and memory update; returns (memory, context).
+
+    The ensemble mixes the GRU-projected levels, so the fact GRU runs on
+    (..., [K,] L, 2H) inputs without an input gemm of its own.
+    """
+    c = attention_gru_encode(dynamic_fact_ensemble(fp.gru, maps.levels), maps.steps, mp.gru)
+    return T.relu(T.affine(T.concat([m_own, q, c], axis=-1), mp.upd_w, mp.upd_b)), c
+
+
 def memory_cycle(
     A: ContextualFactSet,
     B: ContextualFactSet,
     m: MemoryState,
     q: Tensor,
     p: CoMemoryParams,
-    facts_proj: FactProjections | None = None,
+    facts_proj: tuple[FactProjections, FactProjections] | None = None,
 ) -> tuple[MemoryState, AttentionMaps, Tensor, Tensor]:
-    """One attention / ensemble / encode / update cycle for both modalities.
-
-    The ensemble mixes the GRU-projected levels, so the fact GRU runs on
-    (..., [K,] L, 2H) inputs without an input gemm of its own.
-    """
+    """One attention / ensemble / encode / update cycle for both modalities."""
     if facts_proj is None:
         facts_proj = fact_projections(A, B, p)
     maps = co_attention(A, B, m, q, p, facts_proj=facts_proj)
-    ens_a = dynamic_fact_ensemble(facts_proj.gru_a, maps.sa_levels)
-    ens_b = dynamic_fact_ensemble(facts_proj.gru_b, maps.sb_levels)
-    c_a = attention_gru_encode(ens_a, maps.sa_steps, p.a.gru)
-    c_b = attention_gru_encode(ens_b, maps.sb_steps, p.b.gru)
-    m_a = T.relu(T.affine(T.concat([m.m_a, q, c_a], axis=-1), p.a.upd_w, p.a.upd_b))
-    m_b = T.relu(T.affine(T.concat([m.m_b, q, c_b], axis=-1), p.b.upd_w, p.b.upd_b))
+    m_a, c_a = _update(facts_proj[0], maps.a, m.m_a, q, p.a)
+    m_b, c_b = _update(facts_proj[1], maps.b, m.m_b, q, p.b)
     return MemoryState(m_a=m_a, m_b=m_b, cycle=m.cycle + 1), maps, c_a, c_b
 
 
@@ -255,7 +246,7 @@ def run_episodes(
     q: Tensor,
     p: CoMemoryParams,
     cycles: int = 2,
-    facts_proj: FactProjections | None = None,
+    facts_proj: tuple[FactProjections, FactProjections] | None = None,
 ) -> tuple[Tensor, list[AttentionMaps]]:
     """Iterate ``cycles`` memory updates; returns [m_a^T ; m_b^T] and all maps.
 

@@ -38,14 +38,14 @@ class ModelConfig:
         return TaskKind(self.task)
 
 
-def tiny_model_config(task: str = "frame", vocab_size: int = 13, answer_vocab: int = 4) -> ModelConfig:
+def tiny_model_config(task: str = "frame") -> ModelConfig:
     """Small dimensions for gradient checking: L=4, C=4, N=2, memory 4, q 3, T=2."""
     return ModelConfig(
         task=task,
-        vocab_size=vocab_size,
+        vocab_size=13,
         input_width_a=4,
         input_width_b=4,
-        answer_vocab=answer_vocab,
+        answer_vocab=4,
         resolution=4,
         levels=2,
         cycles=2,
@@ -109,7 +109,7 @@ class CoMemoryModel:
         task = c.task_kind()
         if task.is_multiple_choice:
             self.fuse_w = self.store.add("fuse.w", (2 * c.question_hidden, c.question_hidden))
-            self.fuse_b = self.store.add("fuse.b", (c.question_hidden,), init="zeros")
+            self.fuse_b = self.store.add("fuse.b", (c.question_hidden,))
         self.decoder = DecoderParams.create(self.store, "dec", 2 * c.memory_dim, task, c.answer_vocab)
         self.store.check_filled()
 

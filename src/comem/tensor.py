@@ -291,20 +291,20 @@ def take(x: Tensor, key) -> Tensor:
     return _make(x.data[key], (x,), backward)
 
 
-def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+def tsum(a: Tensor, axis=None) -> Tensor:
+    data = a.data.sum(axis=axis)
 
     def backward(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         _accumulate(a, np.broadcast_to(g, a.data.shape))
 
     return _make(data, (a,), backward)
 
 
-def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
+def tmean(a: Tensor, axis=None) -> Tensor:
     n = a.data.size if axis is None else a.data.shape[axis]
-    return scale(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    return scale(tsum(a, axis=axis), 1.0 / n)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -646,11 +646,12 @@ class ParameterStore:
         self._values = None if values is None else dict(values)
         self._rng = np.random.Generator(np.random.Philox(key=np.uint64(seed))) if values is None else None
 
-    def add(self, name: str, shape, init: str = "auto", fan_out: Optional[int] = None) -> Tensor:
-        """Register a parameter; ``fan_out`` overrides the Glorot bound's output width.
+    def add(self, name: str, shape, fan_out: Optional[int] = None) -> Tensor:
+        """Register a parameter: a vector starts at zero, a matrix or kernel gets a Glorot draw.
 
-        A block of several H-wide weight matrices side by side passes
-        ``fan_out=H``, so each block keeps the bound it would have alone.
+        ``fan_out`` overrides the Glorot bound's output width: a block of
+        several H-wide weight matrices side by side passes ``fan_out=H``, so
+        each block keeps the bound it would have alone.
         """
         if name in self._params:
             raise DomainError(f"parameter {name!r} already exists")
@@ -662,7 +663,7 @@ class ParameterStore:
             if data.shape != shape:
                 raise DimensionError(f"parameter {name!r}: stored shape {data.shape} vs expected {shape}")
             data = np.ascontiguousarray(data, dtype=self.dtype)
-        elif init == "zeros" or (init == "auto" and len(shape) < 2):
+        elif len(shape) < 2:
             data = np.zeros(shape, dtype=self.dtype)
         else:
             fan_in = int(np.prod(shape[:-1]))

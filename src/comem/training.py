@@ -49,6 +49,8 @@ class TrainConfig:
             raise DomainError("learning rate must be > 0 and counts positive")
         if self.cycles < 1 or self.levels < 1:
             raise DomainError("cycles and levels must be positive")
+        if not 0 <= self.seed < 2**63:
+            raise DomainError(f"seed must be in [0, 2**63), got {self.seed}")
         TaskKind(self.task)
 
 
@@ -70,14 +72,7 @@ class AdamState:
         self._scratch = [np.empty((2, ADAM_BLOCK), dtype=params.dtype) for _ in range(THREADS)]
 
 
-def adam_step(
-    params: ParameterStore,
-    state: AdamState,
-    lr: float = 0.001,
-    beta1: float = ADAM_BETA1,
-    beta2: float = ADAM_BETA2,
-    eps: float = ADAM_EPS,
-):
+def adam_step(params: ParameterStore, state: AdamState, lr: float = 0.001):
     """Standard bias-corrected Adam over every parameter with a gradient.
 
     Moments and weights are updated in place, in the parameters' dtype, in
@@ -107,21 +102,21 @@ def adam_step(
         raise NumericError(f"adam_step: global gradient norm is {norm} before step {state.step + 1}")
     state.step += 1
     t = state.step
-    step_size = np.dtype(params.dtype).type(lr * (np.sqrt(1.0 - beta2 ** t) / (1.0 - beta1 ** t)))
+    step_size = np.dtype(params.dtype).type(lr * (np.sqrt(1.0 - ADAM_BETA2 ** t) / (1.0 - ADAM_BETA1 ** t)))
 
     def update(lane: int):
         tmp_block, upd_block = state._scratch[lane]
         for g, m, v, w in blocks[lane::THREADS]:
-            m *= beta1
-            v *= beta2
+            m *= ADAM_BETA1
+            v *= ADAM_BETA2
             if g is None:
                 continue
             tmp, upd = tmp_block[: g.size], upd_block[: g.size]
-            m += np.multiply(g, 1.0 - beta1, out=tmp)
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
             np.multiply(g, g, out=tmp)
-            v += np.multiply(tmp, 1.0 - beta2, out=tmp)
+            v += np.multiply(tmp, 1.0 - ADAM_BETA2, out=tmp)
             np.multiply(m, step_size, out=upd)
-            upd /= np.add(np.sqrt(v, out=tmp), eps, out=tmp)
+            upd /= np.add(np.sqrt(v, out=tmp), ADAM_EPS, out=tmp)
             w -= upd
 
     with ThreadPoolExecutor(THREADS) as pool:
@@ -281,7 +276,11 @@ def _better(task: TaskKind, a: float, b: float) -> bool:
     return a < b if task is TaskKind.REPETITION_COUNT else a > b
 
 
-def evaluate_model(model: CoMemoryModel, dataset: Dataset, split: str = "test", batch_size: int = 64):
+# items per forward pass of an evaluation; predictions do not depend on it
+EVAL_BATCH = 64
+
+
+def evaluate_model(model: CoMemoryModel, dataset: Dataset, split: str = "test"):
     """Metric plus per-item predictions for one split."""
     task = model.config.task_kind()
     if task is not dataset.task:
@@ -290,9 +289,8 @@ def evaluate_model(model: CoMemoryModel, dataset: Dataset, split: str = "test", 
     if not items:
         raise DomainError(f"split {split!r} is empty")
     preds, golds, ids = [], [], []
-    for start in range(0, len(items), batch_size):
-        chunk = items[start : start + batch_size]
-        batch = dataset.batch(chunk)
+    for start in range(0, len(items), EVAL_BATCH):
+        batch = dataset.batch(items[start : start + EVAL_BATCH])
         p = model.predict(batch)
         preds.extend(int(x) for x in p)
         golds.extend(int(a) for a in batch["answers"])
@@ -302,10 +300,10 @@ def evaluate_model(model: CoMemoryModel, dataset: Dataset, split: str = "test", 
     return metric, dump
 
 
-def evaluate(checkpoint_path, data_dir, split: str = "test", batch_size: int = 64):
+def evaluate(checkpoint_path, data_dir, split: str = "test"):
     model, _ = load_checkpoint(checkpoint_path)
     dataset = Dataset(data_dir, model.config.task_kind())
-    return evaluate_model(model, dataset, split=split, batch_size=batch_size)
+    return evaluate_model(model, dataset, split=split)
 
 
 # episode rows per forward/backward chunk: 16 multiple-choice items x 5 candidates, or 80 items
@@ -374,7 +372,7 @@ def train(
             losses.append(_step_gradients(model, dataset, chunk, micro))
             adam_step(model.store, state, lr=cfg.learning_rate)
             model.store.zero_grad()  # frees the gradients for the val pass and the checkpoint
-        val_metric, _ = evaluate_model(model, dataset, split="val", batch_size=cfg.batch_size)
+        val_metric, _ = evaluate_model(model, dataset, split="val")
         entry = {
             "epoch": epoch,
             "train_loss": float(np.mean(losses)),

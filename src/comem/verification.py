@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .decoders import NUM_CHOICES, TaskKind, num_answers
+from .errors import DomainError
 from .model import CoMemoryModel, make_batch, tiny_model_config
 from .tensor import WIDE_DTYPE
 
@@ -16,6 +17,8 @@ def build_gradcheck_case(task: str, seed: int = 0):
     on a fixed random batch of two items, so finite differences see every
     parameter.
     """
+    if not 0 <= seed < 2**63:
+        raise DomainError(f"seed must be in [0, 2**63), got {seed}")
     batch = 2
     cfg = tiny_model_config(task)
     model = CoMemoryModel(cfg, seed=seed, dtype=WIDE_DTYPE)

@@ -241,6 +241,18 @@ def test_gradcheck_detects_corrupted_gradients(tmp_path, monkeypatch):
     assert cli.main(["gradcheck", "--seed", "0"]) == 3
 
 
+@pytest.mark.parametrize("args", [
+    ("gen", "--out", "d", "--episodes", "-5"),
+    ("train", "--task", "frame", "--data", "d", "--out", "o.ckpt", "--seed", "-1"),
+    ("gradcheck", "--seed", "-1"),
+], ids=["gen-episodes", "train-seed", "gradcheck-seed"])
+def test_out_of_range_values_are_data_errors_that_write_nothing(tmp_path, args):
+    r = run_cli(*args, cwd=tmp_path)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1, r.stderr
+    assert not any(tmp_path.iterdir())
+
+
 # -- usage errors --------------------------------------------------------------------
 
 

@@ -87,9 +87,9 @@ def test_zero_gate_weight_gives_uniform_softmaxes():
     A = _facts(3, 2, 5, dims["fact_dim"])
     B = _facts(4, 2, 5, dims["fact_dim"])
     maps = co_attention(A, B, _state(5, dims["memory_dim"]), _question(6, dims["question_dim"]), p)
-    assert np.allclose(maps.ga.data, 0.0, atol=1e-12)
-    assert np.allclose(maps.sa_levels.data, 0.5, atol=1e-9)
-    assert np.allclose(maps.sa_steps.data, 0.2, atol=1e-9)
+    assert np.allclose(maps.a.gates.data, 0.0, atol=1e-12)
+    assert np.allclose(maps.a.levels.data, 0.5, atol=1e-9)
+    assert np.allclose(maps.a.steps.data, 0.2, atol=1e-9)
 
 
 def test_single_level_weights_are_one():
@@ -97,8 +97,8 @@ def test_single_level_weights_are_one():
     A = _facts(7, 1, 4, dims["fact_dim"])
     B = _facts(8, 1, 4, dims["fact_dim"])
     maps = co_attention(A, B, _state(9, dims["memory_dim"]), _question(10, dims["question_dim"]), p)
-    assert np.allclose(maps.sa_levels.data, 1.0, atol=1e-9)
-    assert np.allclose(maps.sb_levels.data, 1.0, atol=1e-9)
+    assert np.allclose(maps.a.levels.data, 1.0, atol=1e-9)
+    assert np.allclose(maps.b.levels.data, 1.0, atol=1e-9)
 
 
 def test_gates_match_hand_evaluation():
@@ -116,13 +116,13 @@ def test_gates_match_hand_evaluation():
         for j in range(L):
             za = np.tanh((fa[i, j] + mq_a @ p.a.w1.data) @ p.a.w2.data + mq_b @ p.a.w3.data)
             ga = za @ p.a.w4.data
-            assert np.allclose(maps.ga.data[i, j], ga[0], atol=1e-7)
+            assert np.allclose(maps.a.gates.data[i, j], ga[0], atol=1e-7)
     # softmax over levels column-wise
-    e = np.exp(maps.ga.data - maps.ga.data.max(axis=0, keepdims=True))
-    assert np.allclose(maps.sa_levels.data, e / e.sum(axis=0, keepdims=True), atol=1e-9)
-    mean_g = maps.ga.data.mean(axis=0)
+    e = np.exp(maps.a.gates.data - maps.a.gates.data.max(axis=0, keepdims=True))
+    assert np.allclose(maps.a.levels.data, e / e.sum(axis=0, keepdims=True), atol=1e-9)
+    mean_g = maps.a.gates.data.mean(axis=0)
     es = np.exp(mean_g - mean_g.max())
-    assert np.allclose(maps.sa_steps.data, es / es.sum(), atol=1e-9)
+    assert np.allclose(maps.a.steps.data, es / es.sum(), atol=1e-9)
 
 
 def test_cross_modal_coupling_present_and_removable():
@@ -135,15 +135,15 @@ def test_cross_modal_coupling_present_and_removable():
         m.m_b.requires_grad = True
 
         maps = co_attention(A, B, m, q, p)
-        T.tsum(maps.ga).backward()
-        assert np.abs(m.m_b.grad).max() > 0.0, "ga must react to the other memory"
+        T.tsum(maps.a.gates).backward()
+        assert np.abs(m.m_b.grad).max() > 0.0, "the gates must react to the other memory"
 
         # removing the outer weight severs the coupling exactly
         m.m_b.grad = None
         p.a.w3.data[...] = 0.0
-        base = co_attention(A, B, m, q, p).ga.data
+        base = co_attention(A, B, m, q, p).a.gates.data
         m2 = MemoryState(m_a=m.m_a, m_b=Tensor(m.m_b.data + 5.0))
-        moved = co_attention(A, B, m2, q, p).ga.data
+        moved = co_attention(A, B, m2, q, p).a.gates.data
         assert np.array_equal(base, moved)
 
 
@@ -157,8 +157,8 @@ def test_other_memory_moves_both_attention_weights():
     base = co_attention(A, B, m, q, p)
     moved_b = co_attention(A, B, MemoryState(m_a=m.m_a, m_b=Tensor(m.m_b.data + 1.0)), q, p)
     moved_a = co_attention(A, B, MemoryState(m_a=Tensor(m.m_a.data + 1.0), m_b=m.m_b), q, p)
-    for got, want in ((moved_b.sa_levels, base.sa_levels), (moved_b.sa_steps, base.sa_steps),
-                      (moved_a.sb_levels, base.sb_levels), (moved_a.sb_steps, base.sb_steps)):
+    for got, want in ((moved_b.a.levels, base.a.levels), (moved_b.a.steps, base.a.steps),
+                      (moved_a.b.levels, base.b.levels), (moved_a.b.steps, base.b.steps)):
         assert np.abs(got.data - want.data).max() > 1e-6
 
 
@@ -167,9 +167,9 @@ def test_level_softmax_is_shift_invariant_along_levels():
     A = _facts(30, 2, 3, dims["fact_dim"])
     B = _facts(31, 2, 3, dims["fact_dim"])
     maps = co_attention(A, B, _state(32, dims["memory_dim"]), _question(33, dims["question_dim"]), p)
-    shifted = maps.ga.data + 7.5  # constant across levels at every step
+    shifted = maps.a.gates.data + 7.5  # constant across levels at every step
     e = np.exp(shifted - shifted.max(axis=0, keepdims=True))
-    assert np.allclose(maps.sa_levels.data, e / e.sum(axis=0, keepdims=True), atol=1e-9)
+    assert np.allclose(maps.a.levels.data, e / e.sum(axis=0, keepdims=True), atol=1e-9)
 
 
 def test_co_attention_rejects_mismatched_fact_sets():
@@ -222,8 +222,8 @@ def test_zero_step_gates_reduce_update_to_memory_question(monkeypatch):
 
     def zero_step_gates(*args, **kwargs):
         maps = real_co_attention(*args, **kwargs)
-        maps.sa_steps = Tensor(np.zeros_like(maps.sa_steps.data))
-        maps.sb_steps = Tensor(np.zeros_like(maps.sb_steps.data))
+        maps.a.steps = Tensor(np.zeros_like(maps.a.steps.data))
+        maps.b.steps = Tensor(np.zeros_like(maps.b.steps.data))
         return maps
 
     monkeypatch.setattr(memory, "co_attention", zero_step_gates)
@@ -265,8 +265,8 @@ def test_cycle_matches_composition_of_suboperations():
     m0 = _state(59, dims["memory_dim"])
     m1, maps, c_a, c_b = memory_cycle(A, B, m0, q, p)
     maps2 = co_attention(A, B, m0, q, p)
-    ens_a = dynamic_fact_ensemble(A, maps2.sa_levels)
-    c_a2 = attention_gru_encode(T.affine(ens_a, p.a.gru.w, p.a.gru.b), maps2.sa_steps, p.a.gru)
+    ens_a = dynamic_fact_ensemble(A, maps2.a.levels)
+    c_a2 = attention_gru_encode(T.affine(ens_a, p.a.gru.w, p.a.gru.b), maps2.a.steps, p.a.gru)
     assert np.allclose(c_a.data, c_a2.data, atol=1e-10)
     upd_in = np.concatenate([m0.m_a.data, q.data, c_a2.data])
     assert np.allclose(m1.m_a.data, np.maximum(upd_in @ p.a.upd_w.data + p.a.upd_b.data, 0.0), atol=1e-10)
@@ -310,9 +310,9 @@ def test_normalizations_hold_for_100_random_draws():
         q = _question(seed + 2000, dims["question_dim"])
         _, all_maps = run_episodes(A, B, q, p, cycles=2)
         for maps in all_maps:
-            for s_levels in (maps.sa_levels, maps.sb_levels):
+            for s_levels in (maps.a.levels, maps.b.levels):
                 worst_level = max(worst_level, float(np.abs(s_levels.data.sum(axis=-2) - 1.0).max()))
-            for s_steps in (maps.sa_steps, maps.sb_steps):
+            for s_steps in (maps.a.steps, maps.b.steps):
                 worst_step = max(worst_step, float(np.abs(s_steps.data.sum(axis=-1) - 1.0).max()))
     assert worst_level <= 1e-6 and worst_step <= 1e-6
 

@@ -68,10 +68,10 @@ def test_folded_scores_match_per_candidate_reference(case):
                 ref, ref_maps = _reference_run(model, batch, b, k)
                 assert abs(scores.data[b, k] - ref.data[0]) <= 1e-10
                 for got, want in zip(maps, ref_maps):
-                    assert np.abs(got.ga.data[b, k] - want.ga.data[0]).max() <= 1e-10
-                    assert np.abs(got.sb_steps.data[b, k] - want.sb_steps.data[0]).max() <= 1e-10
+                    assert np.abs(got.a.gates.data[b, k] - want.a.gates.data[0]).max() <= 1e-10
+                    assert np.abs(got.b.steps.data[b, k] - want.b.steps.data[0]).max() <= 1e-10
     assert scores.data.shape == (ITEMS, D.NUM_CHOICES)
-    assert maps[0].sa_levels.data.shape == (ITEMS, D.NUM_CHOICES, model.config.levels, model.config.resolution)
+    assert maps[0].a.levels.data.shape == (ITEMS, D.NUM_CHOICES, model.config.levels, model.config.resolution)
 
 
 def test_folded_gradients_match_per_candidate_reference(case):
@@ -112,8 +112,8 @@ def test_inspect_maps_match_reference_for_predicted_candidate(case):
         assert len(report["cycles"]) == len(ref_maps)
         for exported, maps in zip(report["cycles"], ref_maps):
             assert exported["cycle"] == maps.cycle
-            for mod, levels, steps in (("appearance", maps.sa_levels, maps.sa_steps),
-                                       ("motion", maps.sb_levels, maps.sb_steps)):
+            for mod, levels, steps in (("appearance", maps.a.levels, maps.a.steps),
+                                       ("motion", maps.b.levels, maps.b.steps)):
                 assert np.abs(np.asarray(exported[mod]["levels"]) - levels.data[0]).max() <= 1e-10
                 assert np.abs(np.asarray(exported[mod]["steps"]) - steps.data[0]).max() <= 1e-10
 

@@ -443,6 +443,16 @@ def test_evaluate_rejects_task_mismatch(data_dir):
         evaluate_model(model, Dataset(data_dir, TaskKind.STATE_TRANSITION))
 
 
+@pytest.mark.parametrize("eval_batch", [1, 5, 16])
+def test_evaluation_does_not_depend_on_the_eval_batch(data_dir, monkeypatch, eval_batch):
+    ds = Dataset(data_dir, TaskKind.STATE_TRANSITION)
+    assert len(ds.items["train"]) == 16
+    model = CoMemoryModel(model_config_for(ds, _cfg("trans"), dims=TINY_DIMS), seed=0)
+    want = evaluate_model(model, ds, split="train")
+    monkeypatch.setattr(training, "EVAL_BATCH", eval_batch)
+    assert evaluate_model(model, ds, split="train") == want
+
+
 def test_model_config_reads_dataset_dimensions(data_dir):
     ds = Dataset(data_dir, TaskKind.FRAME_QA)
     cfg = model_config_for(ds, _cfg("frame"), dims=TINY_DIMS)
@@ -575,3 +585,7 @@ def test_train_config_validation():
         TrainConfig(task="frame", cycles=0)
     with pytest.raises(ValueError):
         TrainConfig(task="sorting")
+    for seed in (-1, 2**63):
+        with pytest.raises(DomainError, match="seed"):
+            TrainConfig(task="frame", seed=seed)
+    TrainConfig(task="frame", seed=2**63 - 1)
