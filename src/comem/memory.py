@@ -1,11 +1,12 @@
 """Dual-memory episodic loop over two fact modalities.
 
-Each cycle: cross-modal gate generation, per-step soft fusion of pyramid
-levels, gate-driven GRU encoding of the fused fact sequence, and a ReLU
-affine update of each modality's memory from [memory, question, context].
-The facts stay untiled, (..., N, L, ·); when several questions (one per
-answer candidate) run over the same facts, only the question and the
-memories carry that candidate axis, (..., K, ·).
+Each cycle: cross-modal gate generation (one blocked additive-attention op
+per modality, ``T.additive_gate``), per-step soft fusion of pyramid levels,
+gate-driven GRU encoding of the fused fact sequence, and a ReLU affine update
+of each modality's memory from [memory, question, context].  The facts stay
+untiled, (..., N, L, ·); when several questions (one per answer candidate)
+run over the same facts, only the question and the memories carry that
+candidate axis, (..., K, ·).
 """
 
 from __future__ import annotations
@@ -137,35 +138,27 @@ def fact_projections(A: ContextualFactSet, B: ContextualFactSet, p: CoMemoryPara
     return project(A, p.a), project(B, p.b)
 
 
-def _with_candidate_axis(facts: Tensor, q: Tensor) -> Tensor:
-    """View (..., N, L, X) facts as (..., 1, N, L, X) when ``q`` carries a candidate axis.
-
-    ``q`` and the memories are (..., Q) or (..., K, Q): the candidate axis
-    rides only on them, and the untiled facts broadcast against it.
-    """
-    extra = q.data.ndim - (facts.data.ndim - 2)
-    if extra == 0:
-        return facts
-    if extra != 1:
-        raise DimensionError(f"question {q.shape} does not match facts {facts.shape}")
-    shape = facts.data.shape
-    return T.reshape(facts, shape[:-3] + (1,) + shape[-3:])
-
-
 def _attend(fp: FactProjections, m_own: Tensor, m_other: Tensor, q: Tensor, mp: ModalityParams) -> ModalityMaps:
     """One modality's gates ``tanh(W2 f + W2 W1 [m; q] + W3 [m_other; q]) . w4`` and their softmaxes.
 
     ``fp.gate`` holds the untiled facts already multiplied by ``mp.w2``.
     The inner term uses the modality's own memory, the outer term the other
-    modality's memory; both are (..., Z) vectors added inside the ``tanh``,
-    so the other memory moves the level and step softmaxes.  The maps are
-    (..., [K,] N, L), the step softmax (..., [K,] L).
+    modality's memory; both are (..., [K,] Z) vectors added inside the
+    ``tanh``, so the other memory moves the level and step softmaxes.
+    ``T.additive_gate`` computes the gates without holding the
+    (..., [K,] N, L, Z) ``tanh``.  The maps are (..., [K,] N, L), the step
+    softmax (..., [K,] L).
     """
-    inner = T.matmul(T.matmul(T.concat([m_own, q], axis=-1), mp.w1), mp.w2)  # (..., Z)
+    extra = q.data.ndim - (fp.gate.data.ndim - 2)  # 1 when q carries a candidate axis the facts lack
+    if extra not in (0, 1):
+        raise DimensionError(f"question {q.shape} does not match facts {fp.gate.shape}")
+    inner = T.matmul(T.matmul(T.concat([m_own, q], axis=-1), mp.w1), mp.w2)  # (..., [K,] Z)
     inner = inner + T.matmul(T.concat([m_other, q], axis=-1), mp.w3)
-    inner = T.reshape(inner, inner.data.shape[:-1] + (1, 1, inner.data.shape[-1]))
-    g = T.matmul(T.tanh(_with_candidate_axis(fp.gate, q) + inner), mp.w4)
-    g = T.reshape(g, g.data.shape[:-1])
+    if extra:
+        g = T.additive_gate(fp.gate, inner, mp.w4)
+    else:  # one query per fact row: a candidate axis of one, dropped again
+        g = T.additive_gate(fp.gate, T.reshape(inner, inner.data.shape[:-1] + (1, -1)), mp.w4)
+        g = T.reshape(g, fp.gate.data.shape[:-1])
     return ModalityMaps(gates=g, levels=T.softmax(g, axis=-2), steps=T.softmax(T.tmean(g, axis=-2), axis=-1))
 
 

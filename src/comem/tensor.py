@@ -373,6 +373,57 @@ def mix_levels(s: Tensor, x: Tensor) -> Tensor:
     return _make(data, (s, x), backward)
 
 
+def additive_gate(f: Tensor, u: Tensor, w: Tensor) -> Tensor:
+    """Additive attention scores ``out[..., k, n, l] = tanh(f[..., n, l, :] + u[..., k, :]) @ w[:, 0]``.
+
+    ``f``: (..., N, L, Z), ``u``: (..., K, Z) with the same leading axes,
+    ``w``: (Z, 1) -> (..., K, N, L).  Loops over the flattened leading rows
+    with one reused (K*N*L, Z) buffer, so the (..., K, N, L, Z) ``tanh`` is
+    never held; the backward recomputes each row's ``tanh`` instead of
+    keeping it on the tape.
+    """
+    if f.data.ndim < 3 or u.data.ndim != f.data.ndim - 1 or f.data.shape[:-3] != u.data.shape[:-2] \
+            or f.data.shape[-1] != u.data.shape[-1] or w.data.shape != (f.data.shape[-1], 1):
+        raise DimensionError(f"additive_gate: facts {f.shape}, queries {u.shape} and weight {w.shape} do not conform")
+    (N, L, Z), K = f.data.shape[-3:], u.data.shape[-2]
+    f2, u2 = f.data.reshape(-1, N * L, Z), u.data.reshape(-1, K, Z)
+    dtype, rows = np.result_type(f.data, u.data, w.data), K * N * L
+
+    def tanh_block(r: int, buf: np.ndarray) -> np.ndarray:
+        t = buf[:rows].reshape(K, N * L, Z)
+        np.add(f2[r], u2[r][:, None], out=t)
+        return np.tanh(t, out=t)
+
+    # The gemv runs over a multiple of 4 rows, zero rows padding it: BLAS gemv
+    # kernels sum a ragged tail of rows in another order, which would make a
+    # block's last gates differ in the last bit from one gemv over all rows.
+    buf = np.zeros((-(-rows // 4) * 4, Z), dtype=dtype)
+    data = np.empty((len(f2), rows), dtype=dtype)
+    for r in range(len(f2)):
+        tanh_block(r, buf)
+        data[r] = (buf @ w.data)[:rows, 0]
+
+    def backward(g):
+        g2 = np.ascontiguousarray(g).reshape(len(f2), K, N * L)
+        buf = np.empty((rows, Z), dtype=dtype)
+        df, du = np.empty(f2.shape, dtype=dtype), np.empty(u2.shape, dtype=dtype)
+        dw = np.zeros(Z, dtype=dtype)
+        for r in range(len(f2)):
+            t = tanh_block(r, buf)
+            dw += buf.T @ g2[r].reshape(-1)
+            np.multiply(t, t, out=t)
+            np.subtract(1.0, t, out=t)
+            t *= g2[r][:, :, None]
+            t *= w.data[:, 0]  # the gradient of the tanh's argument, (1 - t^2) g w
+            df[r] = t.sum(axis=0)
+            du[r] = t.sum(axis=1)
+        _accumulate(f, df.reshape(f.data.shape))
+        _accumulate(u, du.reshape(u.data.shape))
+        _accumulate(w, dw[:, None])
+
+    return _make(data.reshape(f.data.shape[:-3] + (K, N, L)), (f, u, w), backward)
+
+
 # -- reductions with stability ----------------------------------------------
 
 

@@ -180,6 +180,21 @@ def test_co_attention_rejects_mismatched_fact_sets():
         co_attention(A, B, _state(36, dims["memory_dim"]), _question(37, dims["question_dim"]), p)
 
 
+def test_co_attention_takes_one_candidate_axis_above_the_facts_not_two():
+    p, _, dims = _params(8)
+    A = _facts(38, 2, 4, dims["fact_dim"], batch=2)
+    B = _facts(39, 2, 4, dims["fact_dim"], batch=2)
+    rng = _rng(40)
+
+    def args(*axes):  # memories and question with axes (2, *axes, ·)
+        m = MemoryState(*(Tensor(rng.standard_normal((2, *axes, dims["memory_dim"]))) for _ in "ab"))
+        return m, Tensor(rng.standard_normal((2, *axes, dims["question_dim"])))
+
+    assert co_attention(A, B, *args(3), p).a.gates.shape == (2, 3, 2, 4)  # (B, K, N, L)
+    with pytest.raises(DimensionError):
+        co_attention(A, B, *args(3, 2), p)  # (B, K, J, Q)
+
+
 # -- dynamic_fact_ensemble -----------------------------------------------------------
 
 

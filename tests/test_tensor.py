@@ -1,5 +1,7 @@
 """Tensor engine: forward oracles, gradient fidelity, geometry rules."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -341,6 +343,12 @@ def test_primitive_gradients_match_finite_differences(seed):
     u_r = _param(rng.standard_normal((3, 3)))
     u_h = _param(rng.standard_normal((3, 3)))
     gate = _param(rng.uniform(0.0, 1.0, (2, 4)))
+    keys = _param(rng.standard_normal((2, 2, 4, 3)))  # (batch, N, L, Z)
+    queries = _param(rng.standard_normal((2, 5, 3)))  # (batch, K, Z)
+    query = _param(rng.standard_normal((2, 1, 3)))  # (batch, 1, Z)
+    keys0 = _param(rng.standard_normal((2, 4, 3)))  # (N, L, Z), no leading axes
+    queries0 = _param(rng.standard_normal((5, 3)))  # (K, Z)
+    w_gate = _param(rng.standard_normal((3, 1)))
 
     def take_twice():
         y = T.tanh(x)  # the second take adds into the gradient the first one made
@@ -366,6 +374,9 @@ def test_primitive_gradients_match_finite_differences(seed):
         (lambda: T.tsum(T.square(T.stack([v, v * -1.0], axis=0))), [v]),
         (lambda: T.tsum(T.square(T.tmean(x, axis=0))), [x]),
         (lambda: T.tsum(T.square(T.mix_levels(s, levels))), [s, levels]),
+        (lambda: T.tsum(T.square(T.additive_gate(keys, queries, w_gate))), [keys, queries, w_gate]),
+        (lambda: T.tsum(T.square(T.additive_gate(keys, query, w_gate))), [keys, query, w_gate]),
+        (lambda: T.tsum(T.square(T.additive_gate(keys0, queries0, w_gate))), [keys0, queries0, w_gate]),
     ]
     for f, tensors in cases:
         for t in tensors:
@@ -388,6 +399,78 @@ def test_mix_levels_matches_loop_oracle():
         T.mix_levels(Tensor(s), Tensor(x[:, :3]))
     with pytest.raises(DimensionError):
         T.mix_levels(Tensor(s[:1]), Tensor(x))
+
+
+def _composed_gate(f: Tensor, u: Tensor, w: Tensor) -> Tensor:
+    """``tanh(f + u) @ w`` from separate ops, which hold the (..., K, N, L, Z) sum and its ``tanh``."""
+    lead, (N, L, Z), K = f.shape[:-3], f.shape[-3:], u.shape[-2]
+    g = T.matmul(T.tanh(T.reshape(f, lead + (1, N, L, Z)) + T.reshape(u, lead + (K, 1, 1, Z))), w)
+    return T.reshape(g, lead + (K, N, L))
+
+
+@pytest.mark.parametrize("lead, K", [((2,), 5), ((2,), 1), ((), 4), ((2, 3), 2)])
+def test_additive_gate_matches_loop_and_composed_oracles(lead, K):
+    rng = _rng(9)
+    N, L, Z = 3, 4, 6
+    f, u, w = rng.standard_normal(lead + (N, L, Z)), rng.standard_normal(lead + (K, Z)), rng.standard_normal((Z, 1))
+    out = T.additive_gate(Tensor(f), Tensor(u), Tensor(w)).data
+    assert out.shape == lead + (K, N, L)
+    for *row, k, n, l in np.ndindex(*out.shape):
+        row = tuple(row)
+        assert abs(out[row + (k, n, l)] - np.tanh(f[row + (n, l)] + u[row + (k,)]) @ w[:, 0]) <= 1e-12
+    seed_grad = rng.standard_normal(out.shape)
+    results = []
+    for op in (T.additive_gate, _composed_gate):
+        leaves = [_param(f), _param(u), _param(w)]
+        y = op(*leaves)
+        y.backward(seed_grad)
+        results.append([y.data] + [t.grad for t in leaves])
+    for got, want, name in zip(*results, ("value", "df", "du", "dw")):
+        assert got.shape == want.shape, name
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_additive_gate_under_no_grad_records_nothing():
+    rng = _rng(10)
+    args = (_param(rng.standard_normal((2, 3, 4, 5))), _param(rng.standard_normal((2, 2, 5))),
+            _param(rng.standard_normal((5, 1))))
+    taped = T.additive_gate(*args)
+    with T.no_grad():
+        quiet = T.additive_gate(*args)
+    assert taped._parents and taped._backward is not None
+    assert np.array_equal(quiet.data, taped.data)
+    assert quiet._parents == () and quiet._backward is None
+
+
+def test_additive_gate_rejects_mismatched_shapes():
+    f, u, w = np.zeros((2, 3, 4, 5)), np.zeros((2, 2, 5)), np.zeros((5, 1))
+    for bad in ((f[..., :4], u, w),  # f's Z
+                (f, u[..., :4], w),  # u's Z
+                (f, u[:1], w),  # leading axes
+                (f, u[:, None], w),  # a second query axis
+                (f[0, 0], u[0], w),  # f without (N, L, Z)
+                (f, u, w[:4]),  # w's rows
+                (f, u, np.zeros((5, 2)))):  # w's columns
+        with pytest.raises(DimensionError):
+            T.additive_gate(*(Tensor(a) for a in bad))
+
+
+def test_additive_gate_never_holds_the_full_tanh():
+    """Forward and backward peak below one (R, K, N, L, Z) array; numpy reports its buffers to tracemalloc."""
+    R, K, N, L, Z = 4, 5, 3, 34, 64
+    rng = _rng(11)
+    f, u, w = _param(rng.standard_normal((R, N, L, Z))), _param(rng.standard_normal((R, K, Z))), \
+        _param(rng.standard_normal((Z, 1)))
+    seed_grad = np.ones((R, K, N, L))
+    full = R * K * N * L * Z * np.dtype(np.float64).itemsize
+    tracemalloc.start()
+    try:
+        T.additive_gate(f, u, w).backward(seed_grad)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f.grad.shape == f.shape and u.grad.shape == u.shape and w.grad.shape == w.shape
+    assert peak < full, f"peak {peak / full:.2f}x one (R, K, N, L, Z) array"
 
 
 def test_gru_scan_under_no_grad_records_nothing():
