@@ -320,6 +320,18 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 # -- linear algebra ----------------------------------------------------------
 
 
+def _gemv(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` for a (D, 1) ``w``, each row's value independent of how many rows ``x`` has.
+
+    BLAS gemv kernels sum a ragged tail of rows in another order, so ``x``
+    runs padded with zero rows to a multiple of 4.
+    """
+    pad = -len(x) % 4
+    if pad:
+        x = np.concatenate([x, np.zeros((pad, x.shape[1]), dtype=x.dtype)])
+    return (x @ w)[: len(x) - pad]
+
+
 def matmul(x: Tensor, W: Tensor) -> Tensor:
     """``x[..., Din] @ W[Din, Dout]``."""
     if W.data.ndim != 2 or x.data.shape[-1] != W.data.shape[0]:
@@ -327,7 +339,7 @@ def matmul(x: Tensor, W: Tensor) -> Tensor:
     din, dout = W.data.shape
     # collapse leading axes so BLAS sees one large gemm instead of a batch loop
     x2 = np.ascontiguousarray(x.data).reshape(-1, din)
-    data = (x2 @ W.data).reshape(x.data.shape[:-1] + (dout,))
+    data = (_gemv(x2, W.data) if dout == 1 else x2 @ W.data).reshape(x.data.shape[:-1] + (dout,))
 
     def backward(g):
         g2 = np.ascontiguousarray(g).reshape(-1, dout)
@@ -394,14 +406,11 @@ def additive_gate(f: Tensor, u: Tensor, w: Tensor) -> Tensor:
         np.add(f2[r], u2[r][:, None], out=t)
         return np.tanh(t, out=t)
 
-    # The gemv runs over a multiple of 4 rows, zero rows padding it: BLAS gemv
-    # kernels sum a ragged tail of rows in another order, which would make a
-    # block's last gates differ in the last bit from one gemv over all rows.
-    buf = np.zeros((-(-rows // 4) * 4, Z), dtype=dtype)
+    buf = np.zeros((rows + -rows % 4, Z), dtype=dtype)  # zero rows up to a multiple of 4 spare ``_gemv`` a copy
     data = np.empty((len(f2), rows), dtype=dtype)
     for r in range(len(f2)):
         tanh_block(r, buf)
-        data[r] = (buf @ w.data)[:rows, 0]
+        data[r] = _gemv(buf, w.data)[:rows, 0]
 
     def backward(g):
         g2 = np.ascontiguousarray(g).reshape(len(f2), K, N * L)
@@ -527,22 +536,21 @@ def deconv1d_temporal(x: Tensor, K: Tensor, target_len: int) -> Tensor:
         raise GeometryError(
             f"deconv1d_temporal: target_len={target_len} not reachable from L={L}, k={k} (admissible {2*L-1} or {2*L}, raw {raw_len})"
         )
-    shape = x.data.shape[:-2] + (raw_len, cout)
     x2 = np.ascontiguousarray(x.data).reshape(-1, cin)
     kt = K.data.transpose(1, 0, 2).reshape(cin, k * cout)
-    # one gemm produces every tap's contribution; scatter-add into the output
+    # one gemm produces every tap's contribution; tap r of input step i lands on
+    # output step 2i + r, and the first n[r] of them fall inside ``target_len``
     taps = (x2 @ kt).reshape(x.data.shape[:-1] + (k, cout))
-    data = np.zeros(shape, dtype=x.data.dtype)
+    n = [len(range(r, min(target_len, r + 2 * L), 2)) for r in range(k)]
+    data = np.zeros(x.data.shape[:-2] + (target_len, cout), dtype=x.data.dtype)
     for r in range(k):
-        data[..., r : r + 2 * L : 2, :] += taps[..., r, :]
-    data = data[..., :target_len, :].copy()
+        data[..., r : r + 2 * n[r] : 2, :] += taps[..., : n[r], r, :]
 
     def backward(g):
-        g_raw = np.zeros(shape, dtype=g.dtype)
-        g_raw[..., :target_len, :] = g
         g_taps = np.empty(x.data.shape[:-1] + (k, cout), dtype=g.dtype)
         for r in range(k):
-            g_taps[..., r, :] = g_raw[..., r : r + 2 * L : 2, :]
+            g_taps[..., : n[r], r, :] = g[..., r : r + 2 * n[r] : 2, :]
+            g_taps[..., n[r] :, r, :] = 0.0
         g2 = g_taps.reshape(-1, k * cout)
         if _on_tape(x):
             _accumulate(x, (g2 @ kt.T).reshape(x.data.shape))

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .data import Dataset
-from .decoders import NUM_CHOICES, TaskKind
+from .decoders import TaskKind
 from .errors import ConfigError, DomainError, FormatError, NumericError
 from .model import CoMemoryModel, ModelConfig
 from .tensor import ParameterStore
@@ -276,8 +276,9 @@ def _better(task: TaskKind, a: float, b: float) -> bool:
     return a < b if task is TaskKind.REPETITION_COUNT else a > b
 
 
-# items per forward pass of an evaluation; predictions do not depend on it
-EVAL_BATCH = 64
+# items per forward pass in training and evaluation (a multiple-choice item runs one
+# episode row per candidate); results depend on it only through float summation order
+ITEMS_PER_PASS = 64
 
 
 def evaluate_model(model: CoMemoryModel, dataset: Dataset, split: str = "test"):
@@ -289,8 +290,8 @@ def evaluate_model(model: CoMemoryModel, dataset: Dataset, split: str = "test"):
     if not items:
         raise DomainError(f"split {split!r} is empty")
     preds, golds, ids = [], [], []
-    for start in range(0, len(items), EVAL_BATCH):
-        batch = dataset.batch(items[start : start + EVAL_BATCH])
+    for start in range(0, len(items), ITEMS_PER_PASS):
+        batch = dataset.batch(items[start : start + ITEMS_PER_PASS])
         p = model.predict(batch)
         preds.extend(int(x) for x in p)
         golds.extend(int(a) for a in batch["answers"])
@@ -304,23 +305,6 @@ def evaluate(checkpoint_path, data_dir, split: str = "test"):
     model, _ = load_checkpoint(checkpoint_path)
     dataset = Dataset(data_dir, model.config.task_kind())
     return evaluate_model(model, dataset, split=split)
-
-
-# episode rows per forward/backward chunk: 16 multiple-choice items x 5 candidates, or 80 items
-MICRO_BATCH_ROWS = 80
-
-
-def _micro_batch_size(task: TaskKind) -> int:
-    """Items per forward/backward chunk of an optimizer step.
-
-    A chunk holds ``MICRO_BATCH_ROWS`` episode rows: a multiple-choice item
-    runs its ``NUM_CHOICES`` candidate questions through the memories, so it
-    counts that many rows.  The budget bounds the tape a chunk keeps while
-    letting every GEMM see as many rows as fit.  Gradients accumulate over the
-    chunks to the step's mean, so the update changes only in float summation
-    order.
-    """
-    return MICRO_BATCH_ROWS // NUM_CHOICES if task.is_multiple_choice else MICRO_BATCH_ROWS
 
 
 def _step_gradients(model: CoMemoryModel, dataset: Dataset, chunk: list, micro: int) -> float:
@@ -360,7 +344,6 @@ def train(
     state = AdamState(model.store)
     shuffle_rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed)))
     items = dataset.items["train"]
-    micro = _micro_batch_size(task)
     history: list[dict] = []
     best: Optional[float] = None
     for epoch in range(1, cfg.epochs + 1):
@@ -369,7 +352,7 @@ def train(
         losses = []
         for start in range(0, len(items), cfg.batch_size):
             chunk = [items[int(i)] for i in order[start : start + cfg.batch_size]]
-            losses.append(_step_gradients(model, dataset, chunk, micro))
+            losses.append(_step_gradients(model, dataset, chunk, ITEMS_PER_PASS))
             adam_step(model.store, state, lr=cfg.learning_rate)
             model.store.zero_grad()  # frees the gradients for the val pass and the checkpoint
         val_metric, _ = evaluate_model(model, dataset, split="val")

@@ -65,6 +65,18 @@ def test_matmul_batched_matches_per_row():
     assert np.allclose(y, x @ W, atol=1e-12)
 
 
+def test_single_column_matmul_rows_do_not_depend_on_the_row_count():
+    """Float32 at width 2048, the paper-dims score heads' input: a row's product with a (D, 1)
+    weight has the same bits alone, in a ragged block of rows, or among 320 rows."""
+    rng = _rng(7)
+    x = rng.standard_normal((320, 2048)).astype(np.float32)
+    w = Tensor(rng.standard_normal((2048, 1)).astype(np.float32))
+    full = T.matmul(Tensor(x), w).data
+    for block in (1, 5, 13, 16):
+        parts = [T.matmul(Tensor(x[i : i + block]), w).data for i in range(0, len(x), block)]
+        assert np.array_equal(np.concatenate(parts), full), block
+
+
 # -- conv ----------------------------------------------------------------------
 
 

@@ -18,7 +18,6 @@ from comem.training import (
     AdamState,
     TrainConfig,
     _metric_from_preds,
-    _micro_batch_size,
     _step_gradients,
     adam_step,
     evaluate,
@@ -449,7 +448,7 @@ def test_evaluation_does_not_depend_on_the_eval_batch(data_dir, monkeypatch, eva
     assert len(ds.items["train"]) == 16
     model = CoMemoryModel(model_config_for(ds, _cfg("trans"), dims=TINY_DIMS), seed=0)
     want = evaluate_model(model, ds, split="train")
-    monkeypatch.setattr(training, "EVAL_BATCH", eval_batch)
+    monkeypatch.setattr(training, "ITEMS_PER_PASS", eval_batch)
     assert evaluate_model(model, ds, split="train") == want
 
 
@@ -544,9 +543,31 @@ def test_different_seed_changes_training(tmp_path, data_dir):
     assert [h["train_loss"] for h in h1] != [h["train_loss"] for h in h2]
 
 
-def test_micro_batches_hold_80_episode_rows():
-    for task in TaskKind:
-        assert _micro_batch_size(task) == (16 if task.is_multiple_choice else 80)
+def test_training_and_evaluation_run_items_per_pass_items_per_forward(tmp_path, monkeypatch):
+    """With ``ITEMS_PER_PASS`` at 8, a 20-item trans step runs 3 passes, and evaluating N items ceil(N / 8)."""
+    generate_dataset(SyntheticSpec(seed=23), 25, tmp_path / "d")
+    ds = Dataset(tmp_path / "d", TaskKind.STATE_TRANSITION)
+    assert [len(ds.items[s]) for s in ("train", "val", "test")] == [20, 2, 3]
+    passes = {"forward_loss": [], "predict": []}  # items per call
+
+    def counting(name):
+        real = getattr(CoMemoryModel, name)
+
+        def call(self, batch):
+            passes[name].append(len(batch["ids"]))
+            return real(self, batch)
+        return call
+
+    for name in passes:
+        monkeypatch.setattr(CoMemoryModel, name, counting(name))
+    monkeypatch.setattr(training, "ITEMS_PER_PASS", 8)
+    train(_cfg("trans", epochs=1, batch_size=20), tmp_path / "d", tmp_path / "m.ckpt", dims=TINY_DIMS)
+    assert passes == {"forward_loss": [8, 8, 4], "predict": [2]}
+    passes["predict"].clear()
+    model = CoMemoryModel(model_config_for(ds, _cfg("trans"), dims=TINY_DIMS), seed=0)
+    for split in ("train", "test"):
+        evaluate_model(model, ds, split=split)
+    assert passes["predict"] == [8, 8, 4, 3]
 
 
 def test_step_gradients_do_not_depend_on_the_chunking(data_dir):
