@@ -103,7 +103,7 @@ def l2_count_loss(r: Tensor, y) -> Tensor:
 
 
 def word_logits(m_h: Tensor, p: DecoderParams) -> Tensor:
-    return T.affine(m_h, p.w_w, p.b_w)
+    return T.matmul(m_h, p.w_w, p.b_w)
 
 
 def classify_word(m_h: Tensor, p: DecoderParams) -> Tensor:

@@ -64,7 +64,7 @@ def _run_gru_layer(xs: Tensor, p: GruParams, mask: np.ndarray | None) -> Tensor:
     The mask freezes padded steps so batched encoding matches per-item
     encoding exactly.
     """
-    return T.gru_scan(T.affine(xs, p.w, p.b), p.u_gates, p.u_h, mask=mask)
+    return T.gru_scan(T.matmul(xs, p.w, p.b), p.u_gates, p.u_h, mask=mask)
 
 
 def encode_token_batch(

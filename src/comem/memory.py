@@ -133,7 +133,7 @@ def fact_projections(A: ContextualFactSet, B: ContextualFactSet, p: CoMemoryPara
     """
     def project(F: ContextualFactSet, mp: ModalityParams) -> FactProjections:
         f = F.stacked()
-        return FactProjections(gate=T.matmul(f, mp.w2), gru=T.affine(f, mp.gru.w, mp.gru.b))
+        return FactProjections(gate=T.matmul(f, mp.w2), gru=T.matmul(f, mp.gru.w, mp.gru.b))
 
     return project(A, p.a), project(B, p.b)
 
@@ -213,7 +213,7 @@ def _update(fp: FactProjections, maps: ModalityMaps, m_own: Tensor, q: Tensor, m
     (..., [K,] L, 2H) inputs without an input gemm of its own.
     """
     c = attention_gru_encode(dynamic_fact_ensemble(fp.gru, maps.levels), maps.steps, mp.gru)
-    return T.relu(T.affine(T.concat([m_own, q, c], axis=-1), mp.upd_w, mp.upd_b)), c
+    return T.relu(T.matmul(T.concat([m_own, q, c], axis=-1), mp.upd_w, mp.upd_b)), c
 
 
 def memory_cycle(

@@ -135,7 +135,7 @@ class CoMemoryModel:
         e = encode_token_batch(cand_ids.reshape(n_items * K, -1), cand_mask.reshape(n_items * K, -1),
                                self.embedding, self.q_gru1, self.q_gru2)
         e_part = T.matmul(T.reshape(e, (n_items, K, Q)), T.take(self.fuse_w, slice(Q, None)))
-        q_part = T.affine(q, T.take(self.fuse_w, slice(None, Q)), self.fuse_b)
+        q_part = T.matmul(q, T.take(self.fuse_w, slice(None, Q)), self.fuse_b)
         return T.tanh(e_part + T.reshape(q_part, (n_items, 1, Q)))
 
     def _forward(self, batch: dict):

@@ -3,6 +3,9 @@
 Values are numpy arrays; every differentiable operation records a backward
 closure on the tensors it produces.  ``Tensor.backward`` replays those
 closures in reverse topological order and frees the graph as it goes.
+A closure keeps only the arrays its backward reads: where the backward needs
+a cheap layout of an input it already holds (im2col taps, a re-laid kernel,
+contiguous rows), it derives that layout again instead of keeping a copy.
 Training runs in float32; gradient checking builds float64 graphs (see
 ``grad_check``).
 
@@ -93,19 +96,11 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __mul__(self, other):
-        return mul(self, _lift(other, self.dtype))
-
-    __rmul__ = __mul__
-
     def __neg__(self):
         return scale(self, -1.0)
 
     def __sub__(self, other):
         return add(self, -_lift(other, self.dtype))
-
-    def __rsub__(self, other):
-        return add(_lift(other, self.dtype), -self)
 
 
 def _lift(x, dtype) -> Tensor:
@@ -194,19 +189,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data * b.data
-    except ValueError:
-        raise DimensionError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
-
-    def backward(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
-
-    return _make(data, (a, b), backward)
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     def backward(g):
         _accumulate(a, g * c)
@@ -236,15 +218,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp overflow for very negative inputs yields inf and a correct 0.0
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-x))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    data = _sigmoid(a.data)
-
-    def backward(g):
-        _accumulate(a, g * data * (1.0 - data))
-
-    return _make(data, (a,), backward)
 
 
 def square(a: Tensor) -> Tensor:
@@ -332,33 +305,32 @@ def _gemv(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (x @ w)[: len(x) - pad]
 
 
-def matmul(x: Tensor, W: Tensor) -> Tensor:
-    """``x[..., Din] @ W[Din, Dout]``."""
+def _rows(a: np.ndarray) -> np.ndarray:
+    """``a`` as one C-contiguous (rows, last axis) matrix, so BLAS sees one large gemm instead of a batch loop."""
+    return np.ascontiguousarray(a).reshape(-1, a.shape[-1])
+
+
+def matmul(x: Tensor, W: Tensor, b: Optional[Tensor] = None) -> Tensor:
+    """``x[..., Din] @ W[Din, Dout] (+ b[Dout])``; the bias is added in place into the product."""
     if W.data.ndim != 2 or x.data.shape[-1] != W.data.shape[0]:
         raise DimensionError(f"matmul: shapes {x.shape} and {W.shape} do not conform")
-    din, dout = W.data.shape
-    # collapse leading axes so BLAS sees one large gemm instead of a batch loop
-    x2 = np.ascontiguousarray(x.data).reshape(-1, din)
-    data = (_gemv(x2, W.data) if dout == 1 else x2 @ W.data).reshape(x.data.shape[:-1] + (dout,))
+    dout = W.data.shape[1]
+    if b is not None and b.data.shape != (dout,):
+        raise DimensionError(f"matmul: bias shape {b.shape} does not match output width {dout}")
+    data = _gemv(_rows(x.data), W.data) if dout == 1 else _rows(x.data) @ W.data
+    if b is not None:
+        data += b.data
 
     def backward(g):
-        g2 = np.ascontiguousarray(g).reshape(-1, dout)
+        g2 = _rows(g)
         if _on_tape(x):
             _accumulate(x, (g2 @ W.data.T).reshape(x.data.shape))
         if _on_tape(W):
-            _accumulate(W, x2.T @ g2)
+            _accumulate(W, _rows(x.data).T @ g2)
+        if b is not None:
+            _accumulate(b, g)
 
-    return _make(data, (x, W), backward)
-
-
-def affine(x: Tensor, W: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """``x @ W (+ b)`` with shape validation naming both operands."""
-    y = matmul(x, W)
-    if b is not None:
-        if b.data.shape != (W.data.shape[1],):
-            raise DimensionError(f"affine: bias shape {b.shape} does not match output width {W.data.shape[1]}")
-        y = add(y, b)
-    return y
+    return _make(data.reshape(x.data.shape[:-1] + (dout,)), (x, W) if b is None else (x, W, b), backward)
 
 
 def mix_levels(s: Tensor, x: Tensor) -> Tensor:
@@ -473,11 +445,25 @@ def _check_seq(x: Tensor, name: str):
         raise DimensionError(f"{name}: expected (L, C) or (B, L, C), got {x.shape}")
 
 
+def _im2col(x: np.ndarray, k: int, stride: int, pad: int, lout: int) -> np.ndarray:
+    """(..., L, Cin) -> (..., lout, k*Cin): each output step's k taps side by side, zero past the edges."""
+    pad_spec = [(0, 0)] * x.ndim
+    pad_spec[-2] = (pad, pad)
+    xp = np.pad(x, pad_spec) if pad else x
+    span, cin = stride * (lout - 1) + 1, x.shape[-1]
+    cols = np.empty(x.shape[:-2] + (lout, k * cin), dtype=x.dtype)
+    for r in range(k):
+        cols[..., r * cin : (r + 1) * cin] = xp[..., r : r + span : stride, :]
+    return cols
+
+
 def conv1d_temporal(x: Tensor, K: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """1-d convolution over the temporal axis with zero padding on both edges.
 
     ``x``: (..., L, Cin), ``K``: (k, Cin, Cout) -> (..., L', Cout) with
-    ``L' = (L + 2 pad - k) // stride + 1``.
+    ``L' = (L + 2 pad - k) // stride + 1``.  Runs as one im2col gemm; the
+    backward gathers the taps again for the kernel gradient instead of
+    keeping them.
     """
     _check_seq(x, "conv1d_temporal")
     if K.data.ndim != 3:
@@ -489,33 +475,29 @@ def conv1d_temporal(x: Tensor, K: Tensor, stride: int = 1, pad: int = 0) -> Tens
     lout = (L + 2 * pad - k) // stride + 1
     if L + 2 * pad < k or lout < 1:
         raise GeometryError(f"conv1d_temporal: L={L}, pad={pad}, k={k}, stride={stride} gives empty output")
-
-    pad_spec = [(0, 0)] * x.data.ndim
-    pad_spec[-2] = (pad, pad)
-    xp = np.pad(x.data, pad_spec) if pad else x.data
-    span = stride * (lout - 1) + 1
-    # im2col: gather the k taps into one contiguous block, then a single gemm
-    cols = np.empty(xp.shape[:-2] + (lout, k * cin), dtype=xp.dtype)
-    for r in range(k):
-        cols[..., r * cin : (r + 1) * cin] = xp[..., r : r + span : stride, :]
-    cols2 = cols.reshape(-1, k * cin)
-    k2 = K.data.reshape(k * cin, cout)
-    data = (cols2 @ k2).reshape(xp.shape[:-2] + (lout, cout))
+    cols2 = _im2col(x.data, k, stride, pad, lout).reshape(-1, k * cin)
+    data = (cols2 @ K.data.reshape(k * cin, cout)).reshape(x.data.shape[:-2] + (lout, cout))
 
     def backward(g):
-        g2 = np.ascontiguousarray(g).reshape(-1, cout)
+        g2 = _rows(g)
         if _on_tape(K):
+            cols2 = _im2col(x.data, k, stride, pad, lout).reshape(-1, k * cin)
             _accumulate(K, (cols2.T @ g2).reshape(k, cin, cout))
         if _on_tape(x):
-            gcols = (g2 @ k2.T).reshape(cols.shape)
-            gxp = np.zeros_like(xp)
+            gcols = (g2 @ K.data.reshape(k * cin, cout).T).reshape(x.data.shape[:-2] + (lout, k * cin))
+            gxp = np.zeros(x.data.shape[:-2] + (L + 2 * pad, cin), dtype=x.data.dtype)
+            span = stride * (lout - 1) + 1
             for r in range(k):
                 gxp[..., r : r + span : stride, :] += gcols[..., r * cin : (r + 1) * cin]
-            if pad:
-                gxp = gxp[..., pad : pad + L, :]
-            _accumulate(x, gxp)
+            _accumulate(x, gxp[..., pad : pad + L, :])
 
     return _make(data, (x, K), backward)
+
+
+def _taps_kernel(K: np.ndarray) -> np.ndarray:
+    """(k, Cin, Cout) -> (Cin, k*Cout): every tap's kernel side by side for one gemm."""
+    k, cin, cout = K.shape
+    return K.transpose(1, 0, 2).reshape(cin, k * cout)
 
 
 def deconv1d_temporal(x: Tensor, K: Tensor, target_len: int) -> Tensor:
@@ -523,6 +505,7 @@ def deconv1d_temporal(x: Tensor, K: Tensor, target_len: int) -> Tensor:
 
     Scatter form of the adjoint of ``conv1d_temporal(stride=2)``:
     ``y[2i + r] += x[i] @ K[r]``.  ``target_len`` must be ``2L - 1`` or ``2L``.
+    The backward lays the kernel out again instead of keeping the copy.
     """
     _check_seq(x, "deconv1d_temporal")
     if K.data.ndim != 3:
@@ -536,11 +519,10 @@ def deconv1d_temporal(x: Tensor, K: Tensor, target_len: int) -> Tensor:
         raise GeometryError(
             f"deconv1d_temporal: target_len={target_len} not reachable from L={L}, k={k} (admissible {2*L-1} or {2*L}, raw {raw_len})"
         )
-    x2 = np.ascontiguousarray(x.data).reshape(-1, cin)
-    kt = K.data.transpose(1, 0, 2).reshape(cin, k * cout)
+
     # one gemm produces every tap's contribution; tap r of input step i lands on
     # output step 2i + r, and the first n[r] of them fall inside ``target_len``
-    taps = (x2 @ kt).reshape(x.data.shape[:-1] + (k, cout))
+    taps = (_rows(x.data) @ _taps_kernel(K.data)).reshape(x.data.shape[:-1] + (k, cout))
     n = [len(range(r, min(target_len, r + 2 * L), 2)) for r in range(k)]
     data = np.zeros(x.data.shape[:-2] + (target_len, cout), dtype=x.data.dtype)
     for r in range(k):
@@ -553,10 +535,10 @@ def deconv1d_temporal(x: Tensor, K: Tensor, target_len: int) -> Tensor:
             g_taps[..., n[r] :, r, :] = 0.0
         g2 = g_taps.reshape(-1, k * cout)
         if _on_tape(x):
-            _accumulate(x, (g2 @ kt.T).reshape(x.data.shape))
+            _accumulate(x, (g2 @ _taps_kernel(K.data).T).reshape(x.data.shape))
         if _on_tape(K):
             # one gemm per tap, stacked tap-major, so the gradient is C-contiguous like K
-            _accumulate(K, x2.T @ g2.reshape(-1, k, cout).swapaxes(0, 1))
+            _accumulate(K, _rows(x.data).T @ g2.reshape(-1, k, cout).swapaxes(0, 1))
 
     return _make(data, (x, K), backward)
 
@@ -565,7 +547,8 @@ def maxpool1d(x: Tensor) -> Tensor:
     """Temporal max pooling with window 2 and stride 2; odd tails pool a single element.
 
     Gradient routes to the argmax; ties break to the earliest index, and as
-    with ``argmax`` the first NaN of a window wins.
+    with ``argmax`` the first NaN of a window wins.  The backward keeps only
+    which element of each window won.
     """
     _check_seq(x, "maxpool1d")
     L, C = x.data.shape[-2], x.data.shape[-1]
@@ -576,18 +559,18 @@ def maxpool1d(x: Tensor) -> Tensor:
         xp = np.pad(x.data, pad_spec, constant_values=-np.inf)
     else:
         xp = x.data
-    xr = xp.reshape(xp.shape[:-2] + (lout, 2, C))
+    windows = x.data.shape[:-2] + (lout, 2, C)
+    xr = xp.reshape(windows)
     first, second = xr[..., 0, :], xr[..., 1, :]
     take_first = first >= second
     take_first |= np.isnan(first)
     data = np.where(take_first, first, second)
 
     def backward(g):
-        gp = np.zeros_like(xr)
+        gp = np.zeros(windows, dtype=x.data.dtype)
         idx = (~take_first).view(np.uint8)  # each window's argmax, 0 or 1
         np.put_along_axis(gp, idx[..., None, :], g[..., None, :], axis=-2)
-        gp = gp.reshape(xp.shape)[..., :L, :]
-        _accumulate(x, gp)
+        _accumulate(x, gp.reshape(windows[:-3] + (2 * lout, C))[..., :L, :])
 
     return _make(data, (x,), backward)
 

@@ -51,6 +51,7 @@ from comem.memory import (
 from comem.model import CoMemoryModel, ModelConfig
 from comem.tensor import ParameterStore, Tensor
 from comem.training import TrainConfig, evaluate, load_checkpoint, save_checkpoint, train
+from oracle_ops import mul
 
 RUNS_DIR = Path(os.environ.get("COMEM_RUNS_DIR", "/root/runs"))
 MISSING_RUNS = (
@@ -154,7 +155,7 @@ def test_criterion_04_cross_modal_coupling_10_seeds():
                             m_b=Tensor(rng.standard_normal(4), requires_grad=True))
             maps = co_attention(A, B, m, q, p)
             gate = maps.a.gates if own_gate == "a" else maps.b.gates
-            T.tsum(T.mul(gate, Tensor(weights))).backward()
+            T.tsum(mul(gate, Tensor(weights))).backward()
             other = m.m_b if own_gate == "a" else m.m_a
             return other.grad
 
@@ -176,12 +177,12 @@ def test_criterion_05_attention_gru_oracles():
     p = GruParams.create(store, "g", 3, 4, update_gate=False)  # blocks [r | h]
     facts = rng.standard_normal((6, 3))
 
-    out = attention_gru_encode(T.affine(Tensor(facts), p.w, p.b), Tensor(np.zeros(6)), p)
+    out = attention_gru_encode(T.matmul(Tensor(facts), p.w, p.b), Tensor(np.zeros(6)), p)
     assert np.allclose(out.data, 0.0), "zero gates must give the zero vector"
 
     gates = np.zeros(6)
     gates[3] = 1.0
-    out = attention_gru_encode(T.affine(Tensor(facts), p.w, p.b), Tensor(gates), p)
+    out = attention_gru_encode(T.matmul(Tensor(facts), p.w, p.b), Tensor(gates), p)
     cand = np.tanh(facts[3] @ p.w.data[:, 4:] + p.b.data[4:])  # h=0 before the hot step
     assert np.allclose(out.data, cand, atol=1e-12), "one-hot gate must return that candidate"
 
@@ -196,7 +197,7 @@ def test_criterion_05_attention_gru_oracles():
         r = sig(x * w_r + h * u_r + b_r)
         c = np.tanh(x * w_h + r * h * u_h + b_h)
         h = g * c + (1 - g) * h
-    out = attention_gru_encode(T.affine(Tensor(sfacts), sp.w, sp.b), Tensor(sgates), sp)
+    out = attention_gru_encode(T.matmul(Tensor(sfacts), sp.w, sp.b), Tensor(sgates), sp)
     err = abs(float(out.data[0]) - h)
     assert err <= 1e-9, f"scalar recurrence error {err:.2e} > 1e-9"
     _ok(5, f"(zero gate, one-hot gate, scalar recurrence error {err:.2e})")

@@ -1,9 +1,11 @@
 """The traced benchmark run still reports what BENCHMARK.json declares.
 
-A traced train run that stops reaching a wrapped callable (for example a
-``train()`` that no longer reloads its checkpoint) leaves that layer's metric
-out of the result and warns "missing layer".  These runs use tiny widths and
-take a second or two each.
+A traced run that stops reaching a wrapped callable (for example a
+``train()`` that no longer reloads its checkpoint, or a wrapper that no longer
+passes an op's arguments through) leaves that layer's metric out of the
+result and warns "missing layer".  The eval workload covers the forward-only
+path, where the layers a run without a tape never enters read 0.  These runs
+use tiny widths and take a second or two each.
 """
 
 import json
@@ -22,7 +24,7 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
-@pytest.mark.parametrize("workload", ["train-trans", "train-frame"])
+@pytest.mark.parametrize("workload", ["train-trans", "train-frame", "eval-trans"])
 def test_traced_train_run_reports_every_per_layer_metric(workload):
     proc = subprocess.run(
         [sys.executable, "-B", str(ROOT / "perfbench" / "run.py"), "--workload", workload, "--seed", "1",

@@ -13,6 +13,7 @@ from comem.encoders import (
 from comem.errors import DimensionError, DomainError
 from comem.model import pad_token_batch
 from comem.tensor import ParameterStore, Tensor, grad_check
+from oracle_ops import mul, sigmoid
 
 
 def _rng(seed):
@@ -58,7 +59,7 @@ def _hand_gru(x, h, p):
 
 def _fact_encode(facts, gates, p):
     """``attention_gru_encode`` of raw facts, through the cell's input weights."""
-    return attention_gru_encode(T.affine(facts, p.w, p.b), gates, p)
+    return attention_gru_encode(T.matmul(facts, p.w, p.b), gates, p)
 
 
 def _last_state(xs, p, mask=None):
@@ -79,16 +80,16 @@ def _reference_scan(proj, u_gates, u_h, gate=None, mask=None):
         px = T.take(proj, (..., j, slice(None)))
         hu = T.matmul(h, u_gates)
         if gate is None:
-            z = T.sigmoid(T.take(px, _cols(0, H)) + T.take(hu, _cols(0, H)))
-            r = T.sigmoid(T.take(px, _cols(H, G)) + T.take(hu, _cols(H, G)))
+            z = sigmoid(T.take(px, _cols(0, H)) + T.take(hu, _cols(0, H)))
+            r = sigmoid(T.take(px, _cols(H, G)) + T.take(hu, _cols(H, G)))
         else:
             z = T.take(gate, _cols(j, j + 1))
-            r = T.sigmoid(T.take(px, _cols(0, H)) + hu)
-        h_cand = T.tanh(T.take(px, _cols(G, G + H)) + T.matmul(T.mul(r, h), u_h))
-        h_new = T.mul(z, h_cand) + T.mul(1.0 - z, h)
+            r = sigmoid(T.take(px, _cols(0, H)) + hu)
+        h_cand = T.tanh(T.take(px, _cols(G, G + H)) + T.matmul(mul(r, h), u_h))
+        h_new = mul(z, h_cand) + mul(-z + 1.0, h)
         if mask is not None:
             m = Tensor(mask[..., j : j + 1])
-            h_new = T.mul(m, h_new) + T.mul(1.0 - m, h)
+            h_new = mul(m, h_new) + mul(-m + 1.0, h)
         h = h_new
         states.append(h)
     return T.stack(states, axis=-2)
@@ -156,7 +157,7 @@ def test_gru_scan_matches_per_step_reference(external_gate, lead, masked):
         for t in tensors:
             t.grad = None
         out = scan(proj, u_gates, u_h, gate=gate, mask=mask)
-        T.tsum(T.mul(out, weights)).backward()
+        T.tsum(mul(out, weights)).backward()
         return out.data, [t.grad for t in tensors]
 
     got, got_grads = run(T.gru_scan)
@@ -294,7 +295,7 @@ def test_question_matches_composed_gru_steps():
     tokens = [2, 5]
     outs = Tensor(table.data[tokens])
     for layer in (l1, l2):
-        outs = _reference_scan(T.affine(outs, layer.w, layer.b), layer.u_gates, layer.u_h)
+        outs = _reference_scan(T.matmul(outs, layer.w, layer.b), layer.u_gates, layer.u_h)
     q = _encode_question(tokens, table, l1, l2)
     assert np.allclose(q.data, outs.data[-1], atol=1e-10)
 

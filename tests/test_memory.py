@@ -281,7 +281,7 @@ def test_cycle_matches_composition_of_suboperations():
     m1, maps, c_a, c_b = memory_cycle(A, B, m0, q, p)
     maps2 = co_attention(A, B, m0, q, p)
     ens_a = dynamic_fact_ensemble(A, maps2.a.levels)
-    c_a2 = attention_gru_encode(T.affine(ens_a, p.a.gru.w, p.a.gru.b), maps2.a.steps, p.a.gru)
+    c_a2 = attention_gru_encode(T.matmul(ens_a, p.a.gru.w, p.a.gru.b), maps2.a.steps, p.a.gru)
     assert np.allclose(c_a.data, c_a2.data, atol=1e-10)
     upd_in = np.concatenate([m0.m_a.data, q.data, c_a2.data])
     assert np.allclose(m1.m_a.data, np.maximum(upd_in @ p.a.upd_w.data + p.a.upd_b.data, 0.0), atol=1e-10)

@@ -18,6 +18,7 @@ from comem.errors import DomainError
 from comem.memory import run_episodes
 from comem.model import CoMemoryModel, make_batch, tiny_model_config
 from comem.tensor import Tensor
+from oracle_ops import mul
 
 ITEMS = 3
 
@@ -54,7 +55,7 @@ def _reference_run(model, batch, b, k):
     q = model._question(batch["q_ids"][b : b + 1], batch["q_mask"][b : b + 1])
     e = encode_token_batch(batch["cand_ids"][b, k : k + 1], batch["cand_mask"][b, k : k + 1],
                            model.embedding, model.q_gru1, model.q_gru2)
-    fused = T.tanh(T.affine(T.concat([q, e], axis=-1), model.fuse_w, model.fuse_b))
+    fused = T.tanh(T.matmul(T.concat([q, e], axis=-1), model.fuse_w, model.fuse_b))
     m_h, maps = run_episodes(A, B, fused, model.comem, model.config.cycles)
     return D.score_choice(m_h, model.decoder), maps
 
@@ -85,7 +86,7 @@ def test_folded_gradients_match_per_candidate_reference(case):
         return [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
 
     scores, _ = model._forward(batch)
-    folded = grads_of(T.tsum(T.mul(scores, Tensor(weights))))
+    folded = grads_of(T.tsum(mul(scores, Tensor(weights))))
     total = None
     for b in range(ITEMS):
         for k in range(D.NUM_CHOICES):

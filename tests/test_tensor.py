@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import comem.tensor as T
 from comem.errors import DimensionError, DomainError, GeometryError
 from comem.tensor import ParameterStore, Tensor, grad_check
+from oracle_ops import mul, sigmoid
 
 
 def _rng(seed):
@@ -31,12 +32,12 @@ def _op_gradcheck(f, tensors, tol=1e-6, seed=0, max_coords=10):
 def test_affine_identity():
     x = _param([1.0, 0.0])
     W = _param(np.eye(2))
-    y = T.affine(x, W)
+    y = T.matmul(x, W)
     assert np.allclose(y.data, [1.0, 0.0])
 
 
 def test_affine_hand_case():
-    y = T.affine(_param([2.0, 3.0]), _param([[1.0], [1.0]]), _param([0.5]))
+    y = T.matmul(_param([2.0, 3.0]), _param([[1.0], [1.0]]), _param([0.5]))
     assert np.allclose(y.data, [5.5])
 
 
@@ -44,7 +45,7 @@ def test_affine_matches_dot_product_loop():
     rng = _rng(7)
     x = rng.standard_normal(3)
     W = rng.standard_normal((3, 2))
-    y = T.affine(_param(x), _param(W)).data
+    y = T.matmul(_param(x), _param(W)).data
     expected = [sum(x[i] * W[i, j] for i in range(3)) for j in range(2)]
     assert np.allclose(y, expected, atol=1e-12)
 
@@ -54,7 +55,7 @@ def test_affine_shape_errors_name_shapes():
         T.matmul(_param([1.0, 2.0]), _param(np.zeros((3, 2))))
     assert "(2,)" in str(e.value) and "(3, 2)" in str(e.value)
     with pytest.raises(DimensionError):
-        T.affine(_param([1.0, 2.0]), _param(np.zeros((2, 3))), _param(np.zeros(4)))
+        T.matmul(_param([1.0, 2.0]), _param(np.zeros((2, 3))), _param(np.zeros(4)))
 
 
 def test_matmul_batched_matches_per_row():
@@ -75,6 +76,25 @@ def test_single_column_matmul_rows_do_not_depend_on_the_row_count():
     for block in (1, 5, 13, 16):
         parts = [T.matmul(Tensor(x[i : i + block]), w).data for i in range(0, len(x), block)]
         assert np.array_equal(np.concatenate(parts), full), block
+
+
+@pytest.mark.parametrize("shape, dout", [((2, 5, 7), 6), ((9, 7), 1), ((7,), 3)])
+def test_biased_matmul_is_one_node_with_the_bits_of_matmul_then_add(shape, dout):
+    rng = _rng(12)
+    x, W, b = (Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True)
+               for s in (shape, (7, dout), (dout,)))
+    y = T.matmul(x, W, b)
+    assert [n for n in T._topo_order(y) if n._backward is not None] == [y]
+    ref = T.matmul(x, W) + b
+    assert y.data.dtype == ref.data.dtype and y.data.tobytes() == ref.data.tobytes()
+    g = rng.standard_normal(y.shape).astype(np.float32)
+    y.backward(g)
+    grads = [t.grad for t in (x, W, b)]
+    for t in (x, W, b):
+        t.grad = None
+    ref.backward(g)
+    for got, t in zip(grads, (x, W, b)):
+        assert got.dtype == t.grad.dtype and got.tobytes() == t.grad.tobytes()
 
 
 # -- conv ----------------------------------------------------------------------
@@ -180,6 +200,34 @@ def test_deconv_rejects_unreachable_targets():
             T.deconv1d_temporal(x, K, target_len=bad)
 
 
+def _bytes_kept(forward) -> int:
+    """Bytes a taped forward still holds beyond its output; numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        y = forward()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert y._backward is not None
+    return held - y.data.nbytes
+
+
+@pytest.mark.parametrize("op", ["conv stride 1", "conv stride 2", "deconv", "maxpool odd L"])
+def test_taped_temporal_ops_keep_no_copies(op):
+    """Beyond its output, a taped op keeps less than one copy of its input (conv, pool) or kernel (deconv)."""
+    rng = _rng(21)
+    x = _param(rng.standard_normal((4, 65, 128)))
+    if op.startswith("conv"):
+        K = _param(rng.standard_normal((3, 128, 128)))
+        kept, limit = _bytes_kept(lambda: T.conv1d_temporal(x, K, stride=int(op[-1]), pad=1)), x.data.nbytes
+    elif op == "deconv":
+        x, K = _param(rng.standard_normal((2, 9, 128))), _param(rng.standard_normal((3, 128, 128)))
+        kept, limit = _bytes_kept(lambda: T.deconv1d_temporal(x, K, target_len=18)), K.data.nbytes
+    else:
+        kept, limit = _bytes_kept(lambda: T.maxpool1d(x)), x.data.nbytes
+    assert kept < limit, f"{op}: keeps {kept / limit:.2f} copies"
+
+
 # -- maxpool ----------------------------------------------------------------------
 
 
@@ -280,7 +328,7 @@ def test_logsumexp_matches_naive_on_moderate_values():
 def test_pointwise_fixed_points():
     assert T.tanh(_param([0.0])).data[0] == 0.0
     assert T.relu(_param([-1.0])).data[0] == 0.0
-    assert T.sigmoid(_param([0.0])).data[0] == 0.5
+    assert sigmoid(_param([0.0])).data[0] == 0.5
 
 
 def test_concat_widths_add_up():
@@ -293,14 +341,14 @@ def test_binary_shape_mismatch_rejected():
     with pytest.raises(DimensionError):
         T.add(_param(np.zeros(3)), _param(np.zeros(4)))
     with pytest.raises(DimensionError):
-        T.mul(_param(np.zeros((2, 3))), _param(np.zeros((3, 2))))
+        mul(_param(np.zeros((2, 3))), _param(np.zeros((3, 2))))
 
 
 def test_mul_backward_is_other_operand():
     rng = _rng(9)
     a = _param(rng.standard_normal(5))
     b = _param(rng.standard_normal(5))
-    T.tsum(T.mul(a, b)).backward()
+    T.tsum(mul(a, b)).backward()
     assert np.allclose(a.grad, b.data, atol=1e-12)
     assert np.allclose(b.grad, a.data, atol=1e-12)
 
@@ -361,21 +409,24 @@ def test_primitive_gradients_match_finite_differences(seed):
     keys0 = _param(rng.standard_normal((2, 4, 3)))  # (N, L, Z), no leading axes
     queries0 = _param(rng.standard_normal((5, 3)))  # (K, Z)
     w_gate = _param(rng.standard_normal((3, 1)))
+    xb = _param(rng.standard_normal((2, 4, 3)))  # drawn last, so the cases above keep their inputs
+    w_col = _param(rng.standard_normal((3, 1)))
+    b_col = _param(rng.standard_normal(1))
 
     def take_twice():
         y = T.tanh(x)  # the second take adds into the gradient the first one made
-        return T.tsum(T.mul(T.take(y, (slice(None), 1)), T.take(y, (np.arange(5), np.array([1, 1, 2, 0, 1])))))
+        return T.tsum(mul(T.take(y, (slice(None), 1)), T.take(y, (np.arange(5), np.array([1, 1, 2, 0, 1])))))
 
     cases = [
-        (lambda: T.tsum(T.tanh(T.affine(x, W, b))), [x, W, b]),
-        (lambda: T.tsum(T.sigmoid(T.matmul(x, W))), [x, W]),
+        (lambda: T.tsum(T.tanh(T.matmul(x, W, b))), [x, W, b]),
+        (lambda: T.tsum(sigmoid(T.matmul(x, W))), [x, W]),
         (lambda: T.tsum(T.square(T.softmax(x, axis=-1))), [x]),
         (lambda: T.tsum(T.logsumexp(x, axis=-1)), [x]),
         (lambda: T.tsum(T.conv1d_temporal(x, K, stride=1, pad=1)), [x, K]),
         (lambda: T.tsum(T.tanh(T.deconv1d_temporal(x, Kd, target_len=9))), [x, Kd]),
         (lambda: T.tsum(T.square(T.maxpool1d(x))), [x]),
-        (lambda: T.tsum(T.mul(T.relu(v), T.tanh(v))), [v]),
-        (lambda: T.tsum(T.square(T.concat([v, v * 2.0]))), [v]),
+        (lambda: T.tsum(mul(T.relu(v), T.tanh(v))), [v]),
+        (lambda: T.tsum(T.square(T.concat([v, T.scale(v, 2.0)]))), [v]),
         (lambda: T.tsum(T.square(T.take(levels, (..., -1, slice(None))))), [levels]),
         (lambda: T.tsum(T.square(T.take(x, (np.arange(5), np.array([0, 2, 1, 0, 2]))))), [x]),
         (lambda: T.tsum(T.square(T.take(v, (np.array(4),)))), [v]),
@@ -383,12 +434,15 @@ def test_primitive_gradients_match_finite_differences(seed):
         (take_twice, [x]),
         (lambda: T.tsum(T.square(T.gru_scan(p_zrh, u_zr, u_h))), [p_zrh, u_zr, u_h]),
         (lambda: T.tsum(T.square(T.gru_scan(p_rh, u_r, u_h, gate=gate))), [p_rh, u_r, u_h, gate]),
-        (lambda: T.tsum(T.square(T.stack([v, v * -1.0], axis=0))), [v]),
+        (lambda: T.tsum(T.square(T.stack([v, T.scale(v, -1.0)], axis=0))), [v]),
         (lambda: T.tsum(T.square(T.tmean(x, axis=0))), [x]),
         (lambda: T.tsum(T.square(T.mix_levels(s, levels))), [s, levels]),
         (lambda: T.tsum(T.square(T.additive_gate(keys, queries, w_gate))), [keys, queries, w_gate]),
         (lambda: T.tsum(T.square(T.additive_gate(keys, query, w_gate))), [keys, query, w_gate]),
         (lambda: T.tsum(T.square(T.additive_gate(keys0, queries0, w_gate))), [keys0, queries0, w_gate]),
+        (lambda: T.tsum(T.square(T.matmul(xb, W, b))), [xb, W, b]),
+        (lambda: T.tsum(T.square(T.matmul(x, w_col, b_col))), [x, w_col, b_col]),
+        (lambda: T.tsum(T.square(T.matmul(T.take(x, 0), W, b))), [x, W, b]),
     ]
     for f, tensors in cases:
         for t in tensors:
