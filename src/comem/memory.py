@@ -163,8 +163,8 @@ def _attend(fp: FactProjections, m_own: Tensor, m_other: Tensor, q: Tensor, mp: 
 
 
 def co_attention(
-    A: ContextualFactSet,
-    B: ContextualFactSet,
+    A: ContextualFactSet | None,
+    B: ContextualFactSet | None,
     m: MemoryState,
     q: Tensor,
     p: CoMemoryParams,
@@ -173,13 +173,13 @@ def co_attention(
     """Cross-modal gates plus the level-axis and step-axis softmaxes.
 
     ``q`` and the memories may carry a candidate axis (..., K, ·) that the
-    facts lack; the maps then have shape (..., K, N, L).
+    facts lack; the maps then have shape (..., K, N, L).  The fact sets are
+    read only to make ``facts_proj`` when it is not given.
     """
-    if A.num_levels != B.num_levels or A.length != B.length:
-        raise DimensionError(
-            f"co_attention: fact sets disagree: {A.num_levels}x{A.length} vs {B.num_levels}x{B.length}"
-        )
     fp_a, fp_b = fact_projections(A, B, p) if facts_proj is None else facts_proj
+    (na, la), (nb, lb) = fp_a.gate.data.shape[-3:-1], fp_b.gate.data.shape[-3:-1]
+    if (na, la) != (nb, lb):
+        raise DimensionError(f"co_attention: fact sets disagree: {na}x{la} vs {nb}x{lb}")
     return AttentionMaps(a=_attend(fp_a, m.m_a, m.m_b, q, p.a), b=_attend(fp_b, m.m_b, m.m_a, q, p.b),
                          cycle=m.cycle + 1)
 
@@ -217,14 +217,14 @@ def _update(fp: FactProjections, maps: ModalityMaps, m_own: Tensor, q: Tensor, m
 
 
 def memory_cycle(
-    A: ContextualFactSet,
-    B: ContextualFactSet,
+    A: ContextualFactSet | None,
+    B: ContextualFactSet | None,
     m: MemoryState,
     q: Tensor,
     p: CoMemoryParams,
     facts_proj: tuple[FactProjections, FactProjections] | None = None,
 ) -> tuple[MemoryState, AttentionMaps, Tensor, Tensor]:
-    """One attention / ensemble / encode / update cycle for both modalities."""
+    """One attention / ensemble / encode / update cycle for both modalities; ``A``, ``B`` as in ``co_attention``."""
     if facts_proj is None:
         facts_proj = fact_projections(A, B, p)
     maps = co_attention(A, B, m, q, p, facts_proj=facts_proj)
@@ -234,8 +234,8 @@ def memory_cycle(
 
 
 def run_episodes(
-    A: ContextualFactSet,
-    B: ContextualFactSet,
+    A: ContextualFactSet | None,
+    B: ContextualFactSet | None,
     q: Tensor,
     p: CoMemoryParams,
     cycles: int = 2,
@@ -245,7 +245,9 @@ def run_episodes(
 
     ``q`` is (..., Q) for the facts' own batch rows, or (..., K, Q) to run K
     questions (one per answer candidate) over the same untiled facts; the
-    read-out and maps then carry the same K axis.
+    read-out and maps then carry the same K axis.  The fact sets are read
+    only to make ``facts_proj`` when it is not given, so a caller that passes
+    it can let the levels go first.
     """
     if cycles < 1:
         raise DomainError(f"run_episodes: cycles must be >= 1, got {cycles}")

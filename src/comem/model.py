@@ -144,15 +144,15 @@ class CoMemoryModel:
         Multiple choice runs one fused question per candidate, (B, K, Q), so
         the output is (B, K) scores and the maps are (B, K, N, L).  The facts
         stay untiled at (B, N, L, ·): their projections are made once here and
-        shared by every cycle and every candidate.
+        shared by every cycle and every candidate.  The fact levels are not
+        kept past their projection, so those that no backward reads are freed.
         """
         task = self.config.task_kind()
-        A, B = self._facts(batch["features_a"], batch["features_b"])
+        proj = fact_projections(*self._facts(batch["features_a"], batch["features_b"]), self.comem)
         q = self._question(batch["q_ids"], batch["q_mask"])
         if task.is_multiple_choice:
             q = self._candidate_questions(q, batch["cand_ids"], batch["cand_mask"])
-        proj = fact_projections(A, B, self.comem)
-        m_h, maps = run_episodes(A, B, q, self.comem, self.config.cycles, facts_proj=proj)
+        m_h, maps = run_episodes(None, None, q, self.comem, self.config.cycles, facts_proj=proj)
         return D.head(task, m_h, self.decoder), maps
 
     # -- training and inference ----------------------------------------------

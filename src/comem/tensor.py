@@ -1,13 +1,16 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Values are numpy arrays; every differentiable operation records a backward
-closure on the tensors it produces.  ``Tensor.backward`` replays those
-closures in reverse topological order and frees the graph as it goes.
-A closure keeps only the arrays its backward reads: where the backward needs
-a cheap layout of an input it already holds (im2col taps, a re-laid kernel,
-contiguous rows), it derives that layout again instead of keeping a copy.
-Training runs in float32; gradient checking builds float64 graphs (see
-``grad_check``).
+Values are numpy arrays; every differentiable operation records its graph on
+small ``_Node`` objects that the tensors point to.  A node holds its
+parents' nodes, its backward closure, its gradient and only the arrays its
+backward reads (a parent's value for ``matmul``, its own output for
+``tanh``), never a value merely because it was computed: an op output that no
+backward reads is freed once the forward drops its last reference.
+``Tensor.backward`` replays the closures in reverse topological order and
+frees the graph as it goes.  Where a backward needs a cheap layout of an input
+it already holds (im2col taps, a re-laid kernel, contiguous rows), it derives
+that layout again instead of keeping a copy.  Training runs in float32;
+gradient checking builds float64 graphs (see ``grad_check``).
 
 All sequence operations accept an optional leading batch dimension: a
 "vector" argument may be shaped ``(n,)`` or ``(B, n)``, an ``L x C`` matrix
@@ -41,8 +44,33 @@ def no_grad():
         _grad_enabled = prev
 
 
+class _Node:
+    """One tensor's place on the tape: everything the backward walk needs, and no value.
+
+    ``saved`` names the arrays ``_backward`` reads, so a tape walk can size
+    what the graph keeps alive.
+    """
+
+    __slots__ = ("shape", "dtype", "grad", "requires_grad", "_parents", "_backward", "saved")
+
+    def __init__(self, shape, dtype, requires_grad: bool = False):
+        self.shape, self.dtype = shape, dtype
+        self.grad: Optional[np.ndarray] = None
+        self.requires_grad = requires_grad
+        self._parents: tuple[_Node, ...] = ()
+        self._backward: Optional[Callable[[np.ndarray], None]] = None
+        self.saved: tuple[np.ndarray, ...] = ()
+
+    @property
+    def data(self) -> np.ndarray:
+        """A zero-stride byte array whose ``nbytes`` is that of ``saved``, for walks that size the tape by ``data``."""
+        return np.broadcast_to(np.uint8(0), (sum(a.nbytes for a in self.saved),))
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    """A value and its ``_Node``; gradients and the graph live on the node."""
+
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad=False):
         if isinstance(data, Tensor):
@@ -51,10 +79,7 @@ class Tensor:
         if not np.issubdtype(data.dtype, np.floating):
             data = data.astype(DEFAULT_DTYPE)
         self.data = data
-        self.grad: Optional[np.ndarray] = None
-        self.requires_grad = bool(requires_grad)
-        self._parents: tuple = ()
-        self._backward: Optional[Callable[[np.ndarray], None]] = None
+        self._node = _Node(data.shape, data.dtype, bool(requires_grad))
 
     # -- graph bookkeeping -------------------------------------------------
 
@@ -66,25 +91,53 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
+    @property
+    def grad(self) -> Optional[np.ndarray]:
+        return self._node.grad
+
+    @grad.setter
+    def grad(self, g: Optional[np.ndarray]):
+        self._node.grad = g
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, flag: bool):
+        self._node.requires_grad = bool(flag)
+
+    @property
+    def _parents(self) -> tuple:
+        return self._node._parents
+
+    @property
+    def _backward(self):
+        return self._node._backward
+
+    @_backward.setter
+    def _backward(self, fn):
+        self._node._backward = fn
+
     def backward(self, grad: Optional[np.ndarray] = None):
         """Accumulate gradients of ``self`` into every reachable leaf.
 
         A graph supports one backward: the walk frees each non-leaf node once
-        its backward has run, dropping its gradient, its closure (and the
-        forward arrays that holds) and its parents.  A second backward that
-        reaches a freed node raises ``DomainError``; leaf gradients stay.
+        its backward has run, dropping its gradient, its closure, the arrays
+        it saved and its parents.  A second backward that reaches a freed
+        node raises ``DomainError``; leaf gradients stay.
         """
         if grad is None:
             grad = np.ones_like(self.data)
-        order = _topo_order(self)
-        _accumulate(self, grad, shared=True)  # the caller keeps its array
+        order = _topo_order(self._node)
+        _accumulate(self._node, grad, shared=True)  # the caller keeps its array
         while order:
             node = order.pop()
             if node._backward is None:
                 continue
             if node.grad is not None:
                 node._backward(node.grad)
-            node.grad, node._backward, node._parents = None, _freed, ()
+            node.grad, node._backward, node._parents, node.saved = None, _freed, (), ()
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -109,16 +162,21 @@ def _lift(x, dtype) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-def _on_tape(t: Tensor) -> bool:
-    """Whether gradients flow into ``t``: a leaf that asks for them, or a recorded node."""
-    return t.requires_grad or t._backward is not None
+def _on_tape(n: _Node) -> bool:
+    """Whether gradients flow into ``n``: a leaf that asks for them, or a recorded node."""
+    return n.requires_grad or n._backward is not None
+
+
+def _recording(parents: Sequence[Tensor]) -> bool:
+    """Whether an op on ``parents`` records a node, so it must save what its backward reads."""
+    return _grad_enabled and any(_on_tape(p._node) for p in parents)
 
 
 def _freed(g):
     raise DomainError("backward through a freed graph: a graph supports one backward")
 
 
-def _topo_order(root: Tensor):
+def _topo_order(root: _Node) -> list[_Node]:
     order, visited, stack = [], set(), [(root, False)]
     while stack:
         node, done = stack.pop()
@@ -135,24 +193,24 @@ def _topo_order(root: Tensor):
     return order
 
 
-def _accumulate(t: Tensor, g: np.ndarray, shared: bool = False):
-    """Add ``g`` into ``t.grad``.
+def _accumulate(n: _Node, g: np.ndarray, shared: bool = False):
+    """Add ``g`` into ``n.grad``.
 
-    A first gradient becomes ``t.grad`` without a copy: backward closures
+    A first gradient becomes ``n.grad`` without a copy: backward closures
     hand over arrays they have just computed, or views of their node's own
     gradient, which nothing reads once that node's backward has run.  It is
     copied when it is read-only (a broadcast view) or ``shared``, that is,
-    also handed to another tensor.
+    also handed to another node.
     """
-    if not _on_tape(t):
+    if not _on_tape(n):
         return
-    reduced = _unbroadcast(g, t.data.shape)
-    if t.grad is not None:
-        t.grad += reduced
-    elif (shared and reduced is g) or not reduced.flags.writeable or reduced.dtype != t.data.dtype:
-        t.grad = np.array(reduced, dtype=t.data.dtype)
+    reduced = _unbroadcast(g, n.shape)
+    if n.grad is not None:
+        n.grad += reduced
+    elif (shared and reduced is g) or not reduced.flags.writeable or reduced.dtype != n.dtype:
+        n.grad = np.array(reduced, dtype=n.dtype)
     else:
-        t.grad = reduced
+        n.grad = reduced
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -165,11 +223,19 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
-def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
+def _make(data: np.ndarray, parents: Sequence[Tensor], backward, saved: tuple = ()) -> Tensor:
+    """Wrap ``data``; when recording, its node gets ``parents``' nodes, ``backward`` and the ``saved`` arrays.
+
+    ``backward`` must reach its parents through their nodes and hold no
+    ``Tensor``, and ``saved`` must list the arrays it reads, so that no value
+    outlives its use and a tape walk sees what the graph keeps alive.
+    """
     out = Tensor(data)
-    if _grad_enabled and any(_on_tape(p) for p in parents):
-        out._parents = tuple(parents)
-        out._backward = backward
+    if _recording(parents):
+        node = out._node
+        node._parents = tuple(p._node for p in parents)
+        node._backward = backward
+        node.saved = saved
     return out
 
 
@@ -181,37 +247,43 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         data = a.data + b.data
     except ValueError:
         raise DimensionError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
+    an, bn = a._node, b._node
 
     def backward(g):
-        _accumulate(a, g)
-        _accumulate(b, g, shared=a.grad is g)  # copied only if ``a`` kept g itself
+        _accumulate(an, g)
+        _accumulate(bn, g, shared=an.grad is g)  # copied only if ``a`` kept g itself
 
     return _make(data, (a, b), backward)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
+    an = a._node
+
     def backward(g):
-        _accumulate(a, g * c)
+        _accumulate(an, g * c)
 
     return _make(a.data * c, (a,), backward)
 
 
 def tanh(a: Tensor) -> Tensor:
     data = np.tanh(a.data)
+    an = a._node
 
     def backward(g):
-        _accumulate(a, g * (1.0 - data * data))
+        _accumulate(an, g * (1.0 - data * data))
 
-    return _make(data, (a,), backward)
+    return _make(data, (a,), backward, (data,))
 
 
 def relu(a: Tensor) -> Tensor:
-    data = np.maximum(a.data, 0)
+    """``max(a, 0)``; the tape keeps the sign mask ``a > 0``, not ``a``."""
+    mask = a.data > 0 if _recording((a,)) else None
+    an = a._node
 
     def backward(g):
-        _accumulate(a, g * (a.data > 0))
+        _accumulate(an, g * mask)
 
-    return _make(data, (a,), backward)
+    return _make(np.maximum(a.data, 0), (a,), backward, (mask,))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -221,10 +293,12 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def square(a: Tensor) -> Tensor:
-    def backward(g):
-        _accumulate(a, g * 2.0 * a.data)
+    x, an = a.data, a._node
 
-    return _make(a.data * a.data, (a,), backward)
+    def backward(g):
+        _accumulate(an, g * 2.0 * x)
+
+    return _make(x * x, (a,), backward, (x,))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -233,19 +307,20 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
+    nodes = [t._node for t in tensors]
 
     def backward(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            _accumulate(t, piece)
+        for n, piece in zip(nodes, np.split(g, splits, axis=axis)):
+            _accumulate(n, piece)
 
     return _make(data, tuple(tensors), backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    orig = a.data.shape
+    an = a._node
 
     def backward(g):
-        _accumulate(a, g.reshape(orig))
+        _accumulate(an, g.reshape(an.shape))
 
     return _make(a.data.reshape(shape), (a,), backward)
 
@@ -256,21 +331,24 @@ def take(x: Tensor, key) -> Tensor:
     The backward scatter-adds straight into ``x.grad``, so repeated indices
     accumulate and an existing gradient gets one add per element.
     """
+    xn = x._node
+
     def backward(g):
-        if x.grad is None:
-            x.grad = np.zeros(x.data.shape, dtype=x.data.dtype)
-        np.add.at(x.grad, key, g)
+        if xn.grad is None:
+            xn.grad = np.zeros(xn.shape, dtype=xn.dtype)
+        np.add.at(xn.grad, key, g)
 
     return _make(x.data[key], (x,), backward)
 
 
 def tsum(a: Tensor, axis=None) -> Tensor:
     data = a.data.sum(axis=axis)
+    an = a._node
 
     def backward(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.data.shape))
+        _accumulate(an, np.broadcast_to(g, an.shape))
 
     return _make(data, (a,), backward)
 
@@ -282,10 +360,11 @@ def tmean(a: Tensor, axis=None) -> Tensor:
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     data = np.stack([t.data for t in tensors], axis=axis)
+    nodes = [t._node for t in tensors]
 
     def backward(g):
-        for i, t in enumerate(tensors):
-            _accumulate(t, np.take(g, i, axis=axis))
+        for i, n in enumerate(nodes):
+            _accumulate(n, np.take(g, i, axis=axis))
 
     return _make(data, tuple(tensors), backward)
 
@@ -320,17 +399,20 @@ def matmul(x: Tensor, W: Tensor, b: Optional[Tensor] = None) -> Tensor:
     data = _gemv(_rows(x.data), W.data) if dout == 1 else _rows(x.data) @ W.data
     if b is not None:
         data += b.data
+    xd, wd, xn, wn = x.data, W.data, x._node, W._node
+    bn = None if b is None else b._node
 
     def backward(g):
         g2 = _rows(g)
-        if _on_tape(x):
-            _accumulate(x, (g2 @ W.data.T).reshape(x.data.shape))
-        if _on_tape(W):
-            _accumulate(W, _rows(x.data).T @ g2)
-        if b is not None:
-            _accumulate(b, g)
+        if _on_tape(xn):
+            _accumulate(xn, (g2 @ wd.T).reshape(xd.shape))
+        if _on_tape(wn):
+            _accumulate(wn, _rows(xd).T @ g2)
+        if bn is not None:
+            _accumulate(bn, g)
 
-    return _make(data.reshape(x.data.shape[:-1] + (dout,)), (x, W) if b is None else (x, W, b), backward)
+    parents = (x, W) if b is None else (x, W, b)
+    return _make(data.reshape(xd.shape[:-1] + (dout,)), parents, backward, (xd, wd))
 
 
 def mix_levels(s: Tensor, x: Tensor) -> Tensor:
@@ -346,15 +428,16 @@ def mix_levels(s: Tensor, x: Tensor) -> Tensor:
     s_t = np.moveaxis(s.data, -1, -3)  # (..., L, K, N)
     x_t = np.moveaxis(x.data, -2, -3)  # (..., L, N, D)
     data = np.moveaxis(s_t @ x_t, -3, -2)
+    sn, xn = s._node, x._node
 
     def backward(g):
         g_t = np.moveaxis(g, -2, -3)  # (..., L, K, D)
-        if _on_tape(x):
-            _accumulate(x, np.moveaxis(np.swapaxes(s_t, -1, -2) @ g_t, -3, -2))
-        if _on_tape(s):
-            _accumulate(s, np.moveaxis(g_t @ np.swapaxes(x_t, -1, -2), -3, -1))
+        if _on_tape(xn):
+            _accumulate(xn, np.moveaxis(np.swapaxes(s_t, -1, -2) @ g_t, -3, -2))
+        if _on_tape(sn):
+            _accumulate(sn, np.moveaxis(g_t @ np.swapaxes(x_t, -1, -2), -3, -1))
 
-    return _make(data, (s, x), backward)
+    return _make(data, (s, x), backward, (s_t, x_t))
 
 
 def additive_gate(f: Tensor, u: Tensor, w: Tensor) -> Tensor:
@@ -370,8 +453,9 @@ def additive_gate(f: Tensor, u: Tensor, w: Tensor) -> Tensor:
             or f.data.shape[-1] != u.data.shape[-1] or w.data.shape != (f.data.shape[-1], 1):
         raise DimensionError(f"additive_gate: facts {f.shape}, queries {u.shape} and weight {w.shape} do not conform")
     (N, L, Z), K = f.data.shape[-3:], u.data.shape[-2]
-    f2, u2 = f.data.reshape(-1, N * L, Z), u.data.reshape(-1, K, Z)
-    dtype, rows = np.result_type(f.data, u.data, w.data), K * N * L
+    f2, u2, wd = f.data.reshape(-1, N * L, Z), u.data.reshape(-1, K, Z), w.data
+    dtype, rows = np.result_type(f2, u2, wd), K * N * L
+    fn, un, wn = f._node, u._node, w._node
 
     def tanh_block(r: int, buf: np.ndarray) -> np.ndarray:
         t = buf[:rows].reshape(K, N * L, Z)
@@ -382,7 +466,7 @@ def additive_gate(f: Tensor, u: Tensor, w: Tensor) -> Tensor:
     data = np.empty((len(f2), rows), dtype=dtype)
     for r in range(len(f2)):
         tanh_block(r, buf)
-        data[r] = _gemv(buf, w.data)[:rows, 0]
+        data[r] = _gemv(buf, wd)[:rows, 0]
 
     def backward(g):
         g2 = np.ascontiguousarray(g).reshape(len(f2), K, N * L)
@@ -395,14 +479,14 @@ def additive_gate(f: Tensor, u: Tensor, w: Tensor) -> Tensor:
             np.multiply(t, t, out=t)
             np.subtract(1.0, t, out=t)
             t *= g2[r][:, :, None]
-            t *= w.data[:, 0]  # the gradient of the tanh's argument, (1 - t^2) g w
+            t *= wd[:, 0]  # the gradient of the tanh's argument, (1 - t^2) g w
             df[r] = t.sum(axis=0)
             du[r] = t.sum(axis=1)
-        _accumulate(f, df.reshape(f.data.shape))
-        _accumulate(u, du.reshape(u.data.shape))
-        _accumulate(w, dw[:, None])
+        _accumulate(fn, df.reshape(fn.shape))
+        _accumulate(un, du.reshape(un.shape))
+        _accumulate(wn, dw[:, None])
 
-    return _make(data.reshape(f.data.shape[:-3] + (K, N, L)), (f, u, w), backward)
+    return _make(data.reshape(f.data.shape[:-3] + (K, N, L)), (f, u, w), backward, (f2, u2, wd))
 
 
 # -- reductions with stability ----------------------------------------------
@@ -414,12 +498,13 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     data = e / e.sum(axis=axis, keepdims=True)
+    xn = x._node
 
     def backward(g):
         dot = (g * data).sum(axis=axis, keepdims=True)
-        _accumulate(x, (g - dot) * data)
+        _accumulate(xn, (g - dot) * data)
 
-    return _make(data, (x,), backward)
+    return _make(data, (x,), backward, (data,))
 
 
 def logsumexp(x: Tensor, axis: int = -1) -> Tensor:
@@ -430,11 +515,12 @@ def logsumexp(x: Tensor, axis: int = -1) -> Tensor:
     s = e.sum(axis=axis, keepdims=True)
     data = (np.log(s) + m).squeeze(axis)
     soft = e / s
+    xn = x._node
 
     def backward(g):
-        _accumulate(x, np.expand_dims(g, axis) * soft)
+        _accumulate(xn, np.expand_dims(g, axis) * soft)
 
-    return _make(data, (x,), backward)
+    return _make(data, (x,), backward, (soft,))
 
 
 # -- temporal ops -------------------------------------------------------------
@@ -475,23 +561,24 @@ def conv1d_temporal(x: Tensor, K: Tensor, stride: int = 1, pad: int = 0) -> Tens
     lout = (L + 2 * pad - k) // stride + 1
     if L + 2 * pad < k or lout < 1:
         raise GeometryError(f"conv1d_temporal: L={L}, pad={pad}, k={k}, stride={stride} gives empty output")
-    cols2 = _im2col(x.data, k, stride, pad, lout).reshape(-1, k * cin)
-    data = (cols2 @ K.data.reshape(k * cin, cout)).reshape(x.data.shape[:-2] + (lout, cout))
+    xd, kd, xn, kn = x.data, K.data, x._node, K._node
+    cols2 = _im2col(xd, k, stride, pad, lout).reshape(-1, k * cin)
+    data = (cols2 @ kd.reshape(k * cin, cout)).reshape(xd.shape[:-2] + (lout, cout))
 
     def backward(g):
         g2 = _rows(g)
-        if _on_tape(K):
-            cols2 = _im2col(x.data, k, stride, pad, lout).reshape(-1, k * cin)
-            _accumulate(K, (cols2.T @ g2).reshape(k, cin, cout))
-        if _on_tape(x):
-            gcols = (g2 @ K.data.reshape(k * cin, cout).T).reshape(x.data.shape[:-2] + (lout, k * cin))
-            gxp = np.zeros(x.data.shape[:-2] + (L + 2 * pad, cin), dtype=x.data.dtype)
+        if _on_tape(kn):
+            cols2 = _im2col(xd, k, stride, pad, lout).reshape(-1, k * cin)
+            _accumulate(kn, (cols2.T @ g2).reshape(k, cin, cout))
+        if _on_tape(xn):
+            gcols = (g2 @ kd.reshape(k * cin, cout).T).reshape(xd.shape[:-2] + (lout, k * cin))
+            gxp = np.zeros(xd.shape[:-2] + (L + 2 * pad, cin), dtype=xd.dtype)
             span = stride * (lout - 1) + 1
             for r in range(k):
                 gxp[..., r : r + span : stride, :] += gcols[..., r * cin : (r + 1) * cin]
-            _accumulate(x, gxp[..., pad : pad + L, :])
+            _accumulate(xn, gxp[..., pad : pad + L, :])
 
-    return _make(data, (x, K), backward)
+    return _make(data, (x, K), backward, (xd, kd))
 
 
 def _taps_kernel(K: np.ndarray) -> np.ndarray:
@@ -519,28 +606,29 @@ def deconv1d_temporal(x: Tensor, K: Tensor, target_len: int) -> Tensor:
         raise GeometryError(
             f"deconv1d_temporal: target_len={target_len} not reachable from L={L}, k={k} (admissible {2*L-1} or {2*L}, raw {raw_len})"
         )
+    xd, kd, xn, kn = x.data, K.data, x._node, K._node
 
     # one gemm produces every tap's contribution; tap r of input step i lands on
     # output step 2i + r, and the first n[r] of them fall inside ``target_len``
-    taps = (_rows(x.data) @ _taps_kernel(K.data)).reshape(x.data.shape[:-1] + (k, cout))
+    taps = (_rows(xd) @ _taps_kernel(kd)).reshape(xd.shape[:-1] + (k, cout))
     n = [len(range(r, min(target_len, r + 2 * L), 2)) for r in range(k)]
-    data = np.zeros(x.data.shape[:-2] + (target_len, cout), dtype=x.data.dtype)
+    data = np.zeros(xd.shape[:-2] + (target_len, cout), dtype=xd.dtype)
     for r in range(k):
         data[..., r : r + 2 * n[r] : 2, :] += taps[..., : n[r], r, :]
 
     def backward(g):
-        g_taps = np.empty(x.data.shape[:-1] + (k, cout), dtype=g.dtype)
+        g_taps = np.empty(xd.shape[:-1] + (k, cout), dtype=g.dtype)
         for r in range(k):
             g_taps[..., : n[r], r, :] = g[..., r : r + 2 * n[r] : 2, :]
             g_taps[..., n[r] :, r, :] = 0.0
         g2 = g_taps.reshape(-1, k * cout)
-        if _on_tape(x):
-            _accumulate(x, (g2 @ _taps_kernel(K.data).T).reshape(x.data.shape))
-        if _on_tape(K):
+        if _on_tape(xn):
+            _accumulate(xn, (g2 @ _taps_kernel(kd).T).reshape(xd.shape))
+        if _on_tape(kn):
             # one gemm per tap, stacked tap-major, so the gradient is C-contiguous like K
-            _accumulate(K, _rows(x.data).T @ g2.reshape(-1, k, cout).swapaxes(0, 1))
+            _accumulate(kn, _rows(xd).T @ g2.reshape(-1, k, cout).swapaxes(0, 1))
 
-    return _make(data, (x, K), backward)
+    return _make(data, (x, K), backward, (xd, kd))
 
 
 def maxpool1d(x: Tensor) -> Tensor:
@@ -565,14 +653,15 @@ def maxpool1d(x: Tensor) -> Tensor:
     take_first = first >= second
     take_first |= np.isnan(first)
     data = np.where(take_first, first, second)
+    xn = x._node
 
     def backward(g):
-        gp = np.zeros(windows, dtype=x.data.dtype)
+        gp = np.zeros(windows, dtype=xn.dtype)
         idx = (~take_first).view(np.uint8)  # each window's argmax, 0 or 1
         np.put_along_axis(gp, idx[..., None, :], g[..., None, :], axis=-2)
-        _accumulate(x, gp.reshape(windows[:-3] + (2 * lout, C))[..., :L, :])
+        _accumulate(xn, gp.reshape(windows[:-3] + (2 * lout, C))[..., :L, :])
 
-    return _make(data, (x,), backward)
+    return _make(data, (x,), backward, (take_first,))
 
 
 # -- recurrence ----------------------------------------------------------------
@@ -613,7 +702,8 @@ def gru_scan(proj: Tensor, u_gates: Tensor, u_h: Tensor, gate: Optional[Tensor] 
     # step j of proj, gate and mask is a view at axis -2 / -1; states are step-major
     m = None if mask is None else np.asarray(mask, dtype=dtype)[..., None]
     parents = (proj, u_gates, u_h) + (() if gate is None else (gate,))
-    record = _grad_enabled and any(_on_tape(p) for p in parents)
+    record = _recording(parents)
+    ugd, uhd = u_gates.data, u_h.data
     states = (L,) + lead + (H,)
     hs = np.zeros((L + 1,) + states[1:], dtype=dtype)  # hs[j] is the state entering step j
     if record:
@@ -621,14 +711,14 @@ def gru_scan(proj: Tensor, u_gates: Tensor, u_h: Tensor, gate: Optional[Tensor] 
         zs = np.empty(states, dtype=dtype) if gate is None else np.moveaxis(gate.data, -1, 0)[..., None]
     for j in range(L):
         h, px = hs[j], proj.data[..., j, :]
-        hu = mm(h, u_gates.data)
+        hu = mm(h, ugd)
         if gate is None:
             z = _sigmoid(px[..., :H] + hu[..., :H])
             r = _sigmoid(px[..., H:G] + hu[..., H:])
         else:
             z = gate.data[..., j : j + 1]
             r = _sigmoid(px[..., :H] + hu)
-        c = np.tanh(px[..., G:] + mm(r * h, u_h.data))
+        c = np.tanh(px[..., G:] + mm(r * h, uhd))
         h_new = z * c + (1.0 - z) * h
         hs[j + 1] = h_new if m is None else m[..., j, :] * h_new + (1.0 - m[..., j, :]) * h
         if record:
@@ -636,10 +726,14 @@ def gru_scan(proj: Tensor, u_gates: Tensor, u_h: Tensor, gate: Optional[Tensor] 
             if gate is None:
                 zs[j] = z
     data = np.moveaxis(hs[1:], 0, -2)
+    if not record:
+        return Tensor(data)
+    pn, ugn, uhn = proj._node, u_gates._node, u_h._node
+    gn = None if gate is None else gate._node
 
     def backward(g):
         dproj = np.empty((L,) + lead + (G + H,), dtype=dtype)
-        dz_ext = None if gate is None else np.empty((L,) + lead + (1,), dtype=dtype)
+        dz_ext = None if gn is None else np.empty((L,) + lead + (1,), dtype=dtype)
         dh = np.zeros(lead + (H,), dtype=dtype)
         for j in reversed(range(L)):
             dh = dh + g[..., j, :]
@@ -647,24 +741,25 @@ def gru_scan(proj: Tensor, u_gates: Tensor, u_h: Tensor, gate: Optional[Tensor] 
             d_new = dh if m is None else m[..., j, :] * dh
             d_prev = d_new * (1.0 - z) if m is None else d_new * (1.0 - z) + (1.0 - m[..., j, :]) * dh
             da_h = d_new * z * (1.0 - c * c)
-            d_rh = mm(da_h, u_h.data.T)
-            if gate is None:
+            d_rh = mm(da_h, uhd.T)
+            if gn is None:
                 dproj[j, ..., :H] = d_new * (c - h) * z * (1.0 - z)
             else:
                 dz_ext[j] = (d_new * (c - h)).sum(axis=-1, keepdims=True)
             dproj[j, ..., G - H : G] = d_rh * h * r * (1.0 - r)
             dproj[j, ..., G:] = da_h
-            dh = d_prev + d_rh * r + mm(np.ascontiguousarray(dproj[j, ..., :G]), u_gates.data.T)
-        _accumulate(proj, np.moveaxis(dproj, 0, -2))
-        if gate is not None:
-            _accumulate(gate, np.moveaxis(dz_ext[..., 0], 0, -1))
+            dh = d_prev + d_rh * r + mm(np.ascontiguousarray(dproj[j, ..., :G]), ugd.T)
+        _accumulate(pn, np.moveaxis(dproj, 0, -2))
+        if gn is not None:
+            _accumulate(gn, np.moveaxis(dz_ext[..., 0], 0, -1))
         h_prev = hs[:-1].reshape(-1, H)
-        if _on_tape(u_gates):
-            _accumulate(u_gates, h_prev.T @ dproj[..., :G].reshape(-1, G))
-        if _on_tape(u_h):
-            _accumulate(u_h, (rs.reshape(-1, H) * h_prev).T @ dproj[..., G:].reshape(-1, H))
+        if _on_tape(ugn):
+            _accumulate(ugn, h_prev.T @ dproj[..., :G].reshape(-1, G))
+        if _on_tape(uhn):
+            _accumulate(uhn, (rs.reshape(-1, H) * h_prev).T @ dproj[..., G:].reshape(-1, H))
 
-    return _make(data, parents, backward)
+    saved = (hs, rs, cs, zs, ugd, uhd) + (() if m is None else (m,))
+    return _make(data, parents, backward, saved)
 
 
 # -- parameters ----------------------------------------------------------------

@@ -16,17 +16,19 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError:
         raise DimensionError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
 
-    def backward(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
+    x, y, xn, yn = a.data, b.data, a._node, b._node
 
-    return _make(data, (a, b), backward)
+    def backward(g):
+        _accumulate(xn, g * y)
+        _accumulate(yn, g * x)
+
+    return _make(data, (a, b), backward, (x, y))
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    data = _sigmoid(a.data)
+    data, an = _sigmoid(a.data), a._node
 
     def backward(g):
-        _accumulate(a, g * data * (1.0 - data))
+        _accumulate(an, g * data * (1.0 - data))
 
-    return _make(data, (a,), backward)
+    return _make(data, (a,), backward, (data,))

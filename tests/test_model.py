@@ -8,9 +8,13 @@ the training loss and predictions must come from the decoders' own losses
 and ``predict``.
 """
 
+import dataclasses
+import weakref
+
 import numpy as np
 import pytest
 
+import comem.model as model_module
 import comem.tensor as T
 from comem import decoders as D
 from comem.encoders import encode_token_batch
@@ -185,3 +189,26 @@ def test_gradcheck_cases_differ_per_task():
 
     losses = {float(build_gradcheck_case(task.value)[0]().data) for task in D.TaskKind}
     assert len(losses) == len(D.TaskKind)
+
+
+def test_predict_holds_no_fact_level_once_projected(monkeypatch):
+    """At ``run_episodes`` entry no fact level is alive: the forward keeps only their projections."""
+    cfg = dataclasses.replace(tiny_model_config("frame"), levels=3, resolution=8)
+    model = CoMemoryModel(cfg, seed=5, dtype=np.float64)
+    batch, _, _ = _random_batch(cfg, _rng(42))
+    levels, alive = [], []
+    build, run = model_module.build_contextual_facts, model_module.run_episodes
+
+    def recording_build(*args, **kwargs):
+        facts = build(*args, **kwargs)
+        levels.extend(weakref.ref(lv.data) for lv in facts.levels)
+        return facts
+
+    def counting_run(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in levels))
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(model_module, "build_contextual_facts", recording_build)
+    monkeypatch.setattr(model_module, "run_episodes", counting_run)
+    model.predict(batch)
+    assert len(levels) == 2 * cfg.levels and alive == [0]

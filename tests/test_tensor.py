@@ -84,7 +84,7 @@ def test_biased_matmul_is_one_node_with_the_bits_of_matmul_then_add(shape, dout)
     x, W, b = (Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True)
                for s in (shape, (7, dout), (dout,)))
     y = T.matmul(x, W, b)
-    assert [n for n in T._topo_order(y) if n._backward is not None] == [y]
+    assert [n for n in T._topo_order(y._node) if n._backward is not None] == [y._node]
     ref = T.matmul(x, W) + b
     assert y.data.dtype == ref.data.dtype and y.data.tobytes() == ref.data.tobytes()
     g = rng.standard_normal(y.shape).astype(np.float32)
@@ -226,6 +226,35 @@ def test_taped_temporal_ops_keep_no_copies(op):
     else:
         kept, limit = _bytes_kept(lambda: T.maxpool1d(x)), x.data.nbytes
     assert kept < limit, f"{op}: keeps {kept / limit:.2f} copies"
+
+
+def test_taped_stack_of_relu_levels_keeps_no_dropped_level():
+    """Once the caller drops two ReLU'd conv/deconv levels stacked into a matmul, the tape keeps
+    neither them nor their pre-activations: less than one level beyond the stack, the masks and the output."""
+    rng = _rng(22)
+    x, h = _param(rng.standard_normal((4, 64, 64))), _param(rng.standard_normal((4, 32, 64)))
+    Kc, Kd, W = (_param(rng.standard_normal(s)) for s in ((3, 64, 64), (3, 64, 64), (64, 8)))
+
+    def forward():
+        levels = [T.relu(T.conv1d_temporal(x, Kc, pad=1)), T.relu(T.deconv1d_temporal(h, Kd, target_len=64))]
+        return T.matmul(T.stack(levels, axis=-3), W)
+
+    level = x.data.nbytes  # one (4, 64, 64) float64 level
+    beyond = _bytes_kept(forward) - 2 * level - 2 * (level // 8)  # the stack and two bool masks
+    assert beyond < level, f"keeps {beyond / level:.2f} levels beyond the stack, the masks and the output"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_keeps_a_sign_mask_with_the_gradient_bits_of_the_input_sign(dtype):
+    x = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 2.5, -1.5, 1e-30], dtype=dtype)
+    g = np.array([1.0, 2.0, np.inf, -3.0, np.nan, 4.0, -np.inf, 5.0, 6.0], dtype=dtype)
+    a = Tensor(x.copy(), requires_grad=True)
+    y = T.relu(a)
+    assert [s.dtype for s in y._node.saved] == [np.bool_]
+    with np.errstate(invalid="ignore"):  # inf * 0 is NaN on both sides
+        y.backward(g)
+        want = g * (x > 0)
+    assert a.grad.dtype == want.dtype and a.grad.tobytes() == want.tobytes()
 
 
 # -- maxpool ----------------------------------------------------------------------
