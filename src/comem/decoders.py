@@ -77,9 +77,8 @@ def hinge_loss(s_p: Tensor, s_n: Sequence[Tensor]) -> Tensor:
 
 def count_regression(m_h: Tensor, p: DecoderParams) -> Tensor:
     """Unrounded count estimate ``W_n . m_h + b`` used by the training loss."""
-    r = T.matmul(m_h, p.w_n)
-    r = T.reshape(r, r.data.shape[:-1])
-    return r + T.reshape(p.b_n, ())
+    r = T.matmul(m_h, p.w_n, p.b_n)
+    return T.reshape(r, r.data.shape[:-1])
 
 
 def round_count(r):

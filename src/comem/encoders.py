@@ -1,8 +1,8 @@
 """GRU cells, the gate-driven fact encoder, and question/answer encoders.
 
 The question and answer-candidate encoders share a token embedding table
-and a two-layer GRU; the final hidden state of the second layer is the
-embedding.  The fact encoder replaces the GRU update gate with an external
+and a two-layer GRU; the second layer's state at a sequence's last token is
+its embedding.  The fact encoder replaces the GRU update gate with an external
 per-step scalar gate.
 """
 
@@ -58,22 +58,23 @@ def attention_gru_encode(proj: Tensor, gates: Tensor, p: GruParams) -> Tensor:
     return T.take(T.gru_scan(proj, p.u_gates, p.u_h, gate=gates), (..., -1, slice(None)))
 
 
-def _run_gru_layer(xs: Tensor, p: GruParams, mask: np.ndarray | None) -> Tensor:
-    """Every hidden state of a GRU over ``xs[(B,) T, D]``; steps where ``mask`` is 0 keep the state.
-
-    The mask freezes padded steps so batched encoding matches per-item
-    encoding exactly.
-    """
-    return T.gru_scan(T.matmul(xs, p.w, p.b), p.u_gates, p.u_h, mask=mask)
+def _run_gru_layer(xs: Tensor, p: GruParams) -> Tensor:
+    """Every hidden state of a GRU over ``xs[(B,) T, D]``."""
+    return T.gru_scan(T.matmul(xs, p.w, p.b), p.u_gates, p.u_h)
 
 
 def encode_token_batch(
     ids: np.ndarray,
-    mask: np.ndarray,
+    lengths: np.ndarray,
     table: Tensor,
     layer1: GruParams,
     layer2: GruParams,
 ) -> Tensor:
-    """Two-layer GRU encoding of padded token ids ``(B, T)`` with 0/1 mask; ``table`` is (V, E)."""
-    states = _run_gru_layer(_run_gru_layer(T.take(table, ids), layer1, mask), layer2, mask)
-    return T.take(states, (..., -1, slice(None)))
+    """Two-layer GRU codes (B, H) of right-padded token ids ``(B, T)``; ``table`` is (V, E).
+
+    Each row's code is its layer-2 state at its last real token,
+    ``lengths - 1``: a GRU runs forward, so no state up to there sees the
+    padding, and the padded steps get no gradient.
+    """
+    states = _run_gru_layer(_run_gru_layer(T.take(table, ids), layer1), layer2)
+    return T.take(states, (np.arange(len(lengths)), lengths - 1))

@@ -35,10 +35,6 @@ class ContextualFactSet:
     def num_levels(self) -> int:
         return len(self.levels)
 
-    @property
-    def length(self) -> int:
-        return self.levels[0].data.shape[-2]
-
     def stacked(self) -> Tensor:
         """Levels stacked on a new axis before time: (..., N, L, C), a new graph node per call."""
         return T.stack(self.levels, axis=-3)

@@ -59,16 +59,14 @@ def tiny_model_config(task: str = "frame") -> ModelConfig:
 
 
 def pad_token_batch(seqs: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Right-pad token id sequences; returns (ids, 0/1 mask), both (B, T)."""
-    if any(len(s) == 0 for s in seqs):
+    """Right-pad token id sequences with id 0; returns (ids (B, T), lengths (B,))."""
+    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
+    if np.any(lengths == 0):
         raise DomainError("pad_token_batch: empty token sequence")
-    width = max(len(s) for s in seqs)
-    ids = np.zeros((len(seqs), width), dtype=np.int64)
-    mask = np.zeros((len(seqs), width), dtype=np.float64)
+    ids = np.zeros((len(seqs), lengths.max()), dtype=np.int64)
     for i, s in enumerate(seqs):
         ids[i, : len(s)] = np.asarray(s, dtype=np.int64)
-        mask[i, : len(s)] = 1.0
-    return ids, mask
+    return ids, lengths
 
 
 def make_batch(features_a, features_b, questions, candidates=None) -> dict:
@@ -80,11 +78,11 @@ def make_batch(features_a, features_b, questions, candidates=None) -> dict:
     Training callers add ``answers``.
     """
     batch = {"features_a": np.stack(features_a), "features_b": np.stack(features_b)}
-    batch["q_ids"], batch["q_mask"] = pad_token_batch(questions)
+    batch["q_ids"], batch["q_len"] = pad_token_batch(questions)
     if candidates is not None:
-        ids, mask = pad_token_batch([c for item in candidates for c in item])
+        ids, lengths = pad_token_batch([c for item in candidates for c in item])
         batch["cand_ids"] = ids.reshape(len(candidates), D.NUM_CHOICES, -1)
-        batch["cand_mask"] = mask.reshape(len(candidates), D.NUM_CHOICES, -1)
+        batch["cand_len"] = lengths.reshape(len(candidates), D.NUM_CHOICES)
     return batch
 
 
@@ -121,10 +119,10 @@ class CoMemoryModel:
         fb = Tensor(np.asarray(features_b, dtype=dtype))
         return build_contextual_facts(fa, self.pyramid_a), build_contextual_facts(fb, self.pyramid_b)
 
-    def _question(self, q_ids: np.ndarray, q_mask: np.ndarray) -> Tensor:
-        return encode_token_batch(q_ids, q_mask, self.embedding, self.q_gru1, self.q_gru2)
+    def _question(self, q_ids: np.ndarray, q_len: np.ndarray) -> Tensor:
+        return encode_token_batch(q_ids, q_len, self.embedding, self.q_gru1, self.q_gru2)
 
-    def _candidate_questions(self, q: Tensor, cand_ids: np.ndarray, cand_mask: np.ndarray) -> Tensor:
+    def _candidate_questions(self, q: Tensor, cand_ids: np.ndarray, cand_len: np.ndarray) -> Tensor:
         """(B, K, Q): ``tanh([q; e_k] @ fuse.w + fuse.b)`` for candidate ``k`` of each item.
 
         The question half, ``q @ fuse.w[:Q] + fuse.b``, is computed once per
@@ -132,7 +130,7 @@ class CoMemoryModel:
         """
         n_items, K = cand_ids.shape[:2]
         Q = q.data.shape[-1]
-        e = encode_token_batch(cand_ids.reshape(n_items * K, -1), cand_mask.reshape(n_items * K, -1),
+        e = encode_token_batch(cand_ids.reshape(n_items * K, -1), cand_len.reshape(n_items * K),
                                self.embedding, self.q_gru1, self.q_gru2)
         e_part = T.matmul(T.reshape(e, (n_items, K, Q)), T.take(self.fuse_w, slice(Q, None)))
         q_part = T.matmul(q, T.take(self.fuse_w, slice(None, Q)), self.fuse_b)
@@ -149,9 +147,9 @@ class CoMemoryModel:
         """
         task = self.config.task_kind()
         proj = fact_projections(*self._facts(batch["features_a"], batch["features_b"]), self.comem)
-        q = self._question(batch["q_ids"], batch["q_mask"])
+        q = self._question(batch["q_ids"], batch["q_len"])
         if task.is_multiple_choice:
-            q = self._candidate_questions(q, batch["cand_ids"], batch["cand_mask"])
+            q = self._candidate_questions(q, batch["cand_ids"], batch["cand_len"])
         m_h, maps = run_episodes(None, None, q, self.comem, self.config.cycles, facts_proj=proj)
         return D.head(task, m_h, self.decoder), maps
 

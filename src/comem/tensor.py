@@ -68,9 +68,13 @@ class _Node:
 
 
 class Tensor:
-    """A value and its ``_Node``; gradients and the graph live on the node."""
+    """A value and its ``_Node``; gradients and the graph live on the node.
 
-    __slots__ = ("data", "_node")
+    ``data`` cannot be reassigned, since the node records its shape and
+    dtype; its array may still be written in place.
+    """
+
+    __slots__ = ("_data", "_node")
 
     def __init__(self, data, requires_grad=False):
         if isinstance(data, Tensor):
@@ -78,10 +82,14 @@ class Tensor:
         data = np.asarray(data)
         if not np.issubdtype(data.dtype, np.floating):
             data = data.astype(DEFAULT_DTYPE)
-        self.data = data
+        self._data = data
         self._node = _Node(data.shape, data.dtype, bool(requires_grad))
 
     # -- graph bookkeeping -------------------------------------------------
+
+    @property
+    def data(self) -> np.ndarray:
+        return self._data
 
     @property
     def shape(self):
@@ -110,14 +118,6 @@ class Tensor:
     @property
     def _parents(self) -> tuple:
         return self._node._parents
-
-    @property
-    def _backward(self):
-        return self._node._backward
-
-    @_backward.setter
-    def _backward(self, fn):
-        self._node._backward = fn
 
     def backward(self, grad: Optional[np.ndarray] = None):
         """Accumulate gradients of ``self`` into every reachable leaf.
@@ -667,8 +667,7 @@ def maxpool1d(x: Tensor) -> Tensor:
 # -- recurrence ----------------------------------------------------------------
 
 
-def gru_scan(proj: Tensor, u_gates: Tensor, u_h: Tensor, gate: Optional[Tensor] = None,
-             mask: Optional[np.ndarray] = None) -> Tensor:
+def gru_scan(proj: Tensor, u_gates: Tensor, u_h: Tensor, gate: Optional[Tensor] = None) -> Tensor:
     """GRU recurrence over precomputed input projections; returns every state (..., L, H).
 
     ``proj`` is each step's input projection: (..., L, 3H) as ``[z | r | h]``
@@ -679,9 +678,8 @@ def gru_scan(proj: Tensor, u_gates: Tensor, u_h: Tensor, gate: Optional[Tensor] 
         z = sigmoid(p_z + h u_z)  (or the gate)    r = sigmoid(p_r + h u_r)
         c = tanh(p_h + (r * h) u_h)                h' = z * c + (1 - z) * h
 
-    ``mask`` (..., L) holds 0/1; ``h`` is kept unchanged where it is 0.  The
-    backward is one reverse loop; the ``u_gates`` and ``u_h`` gradients are
-    one gemm each over all steps.
+    The backward is one reverse loop; the ``u_gates`` and ``u_h`` gradients
+    are one gemm each over all steps.
     """
     H = u_h.data.shape[-1]
     G = H if gate is not None else 2 * H
@@ -691,16 +689,13 @@ def gru_scan(proj: Tensor, u_gates: Tensor, u_h: Tensor, gate: Optional[Tensor] 
     steps_shape = proj.data.shape[:-1]
     if gate is not None and gate.data.shape != steps_shape:
         raise DimensionError(f"gru_scan: gate shape {gate.shape} vs projections {proj.shape}")
-    if mask is not None and np.shape(mask) != steps_shape:
-        raise DimensionError(f"gru_scan: mask shape {np.shape(mask)} vs projections {proj.shape}")
     dtype, L, lead = proj.data.dtype, steps_shape[-1], steps_shape[:-1]
 
     def mm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
         # one 2-D gemm over the contiguous leading axes; a batched matmul would loop per matrix
         return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + (w.shape[-1],))
 
-    # step j of proj, gate and mask is a view at axis -2 / -1; states are step-major
-    m = None if mask is None else np.asarray(mask, dtype=dtype)[..., None]
+    # step j of proj and gate is a view at axis -2 / -1; states are step-major
     parents = (proj, u_gates, u_h) + (() if gate is None else (gate,))
     record = _recording(parents)
     ugd, uhd = u_gates.data, u_h.data
@@ -719,8 +714,7 @@ def gru_scan(proj: Tensor, u_gates: Tensor, u_h: Tensor, gate: Optional[Tensor] 
             z = gate.data[..., j : j + 1]
             r = _sigmoid(px[..., :H] + hu)
         c = np.tanh(px[..., G:] + mm(r * h, uhd))
-        h_new = z * c + (1.0 - z) * h
-        hs[j + 1] = h_new if m is None else m[..., j, :] * h_new + (1.0 - m[..., j, :]) * h
+        hs[j + 1] = z * c + (1.0 - z) * h
         if record:
             rs[j], cs[j] = r, c
             if gate is None:
@@ -738,17 +732,15 @@ def gru_scan(proj: Tensor, u_gates: Tensor, u_h: Tensor, gate: Optional[Tensor] 
         for j in reversed(range(L)):
             dh = dh + g[..., j, :]
             h, z, r, c = hs[j], zs[j], rs[j], cs[j]
-            d_new = dh if m is None else m[..., j, :] * dh
-            d_prev = d_new * (1.0 - z) if m is None else d_new * (1.0 - z) + (1.0 - m[..., j, :]) * dh
-            da_h = d_new * z * (1.0 - c * c)
+            da_h = dh * z * (1.0 - c * c)
             d_rh = mm(da_h, uhd.T)
             if gn is None:
-                dproj[j, ..., :H] = d_new * (c - h) * z * (1.0 - z)
+                dproj[j, ..., :H] = dh * (c - h) * z * (1.0 - z)
             else:
-                dz_ext[j] = (d_new * (c - h)).sum(axis=-1, keepdims=True)
+                dz_ext[j] = (dh * (c - h)).sum(axis=-1, keepdims=True)
             dproj[j, ..., G - H : G] = d_rh * h * r * (1.0 - r)
             dproj[j, ..., G:] = da_h
-            dh = d_prev + d_rh * r + mm(np.ascontiguousarray(dproj[j, ..., :G]), ugd.T)
+            dh = dh * (1.0 - z) + d_rh * r + mm(np.ascontiguousarray(dproj[j, ..., :G]), ugd.T)
         _accumulate(pn, np.moveaxis(dproj, 0, -2))
         if gn is not None:
             _accumulate(gn, np.moveaxis(dz_ext[..., 0], 0, -1))
@@ -758,8 +750,7 @@ def gru_scan(proj: Tensor, u_gates: Tensor, u_h: Tensor, gate: Optional[Tensor] 
         if _on_tape(uhn):
             _accumulate(uhn, (rs.reshape(-1, H) * h_prev).T @ dproj[..., G:].reshape(-1, H))
 
-    saved = (hs, rs, cs, zs, ugd, uhd) + (() if m is None else (m,))
-    return _make(data, parents, backward, saved)
+    return _make(data, parents, backward, (hs, rs, cs, zs, ugd, uhd))
 
 
 # -- parameters ----------------------------------------------------------------

@@ -28,7 +28,7 @@ def build_gradcheck_case(task: str, seed: int = 0):
     L = cfg.resolution
     features_a = rng.standard_normal((batch, L, cfg.input_width_a))
     features_b = rng.standard_normal((batch, L, cfg.input_width_b))
-    # variable lengths, so finite differences also pass through the padding mask
+    # variable lengths, so finite differences also cover codes read before the last step
     questions = [list(rng.integers(0, cfg.vocab_size, size=rng.integers(2, 6))) for _ in range(batch)]
     candidates = None
     if kind.is_multiple_choice:

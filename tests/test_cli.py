@@ -231,9 +231,9 @@ def test_gradcheck_detects_corrupted_gradients(tmp_path, monkeypatch):
 
     def scan_with_doubled_backward(*args, **kwargs):
         out = scan(*args, **kwargs)
-        backward = out._backward
+        backward = out._node._backward
         if backward is not None:
-            out._backward = lambda g: backward(2.0 * g)
+            out._node._backward = lambda g: backward(2.0 * g)
         return out
 
     monkeypatch.setattr(T, "gru_scan", scan_with_doubled_backward)

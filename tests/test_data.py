@@ -342,9 +342,9 @@ def test_dataset_batching(tmp_path):
     assert batch["answers"].shape == (3,)
     assert batch["cand_ids"].shape[:2] == (3, NUM_CHOICES)
     assert batch["q_ids"].shape[0] == 3
-    # padded question mask covers exactly the real tokens
+    # each question's length counts exactly its real tokens
     for i, item in enumerate(items):
-        assert int(batch["q_mask"][i].sum()) == len(item.question)
+        assert batch["q_len"][i] == len(item.question)
 
 
 def test_dataset_requires_manifest(tmp_path):

@@ -183,7 +183,7 @@ def test_predict_word_is_shift_invariant():
     p, _ = _params(TaskKind.FRAME_QA, answer_vocab=7, seed=8)
     m_h = Tensor(_rng(8).standard_normal(6))
     before = predict_word(m_h, p)
-    p.b_w.data += 100.0  # uniform logit shift cannot move the argmax
+    p.b_w.data[...] += 100.0  # uniform logit shift cannot move the argmax
     assert predict_word(m_h, p) == before
 
 
@@ -262,7 +262,7 @@ def test_choice_prediction_invariant_to_positive_weight_scaling():
     p, _ = _params(TaskKind.REPEATING_ACTION, seed=10)
     cands = _rng(10).standard_normal((5, 6))
     before = int(np.argmax(score_choice(Tensor(cands), p).data))
-    p.w_m.data *= 7.0
+    p.w_m.data[...] *= 7.0
     assert int(np.argmax(score_choice(Tensor(cands), p).data)) == before
 
 

@@ -62,16 +62,16 @@ def _fact_encode(facts, gates, p):
     return attention_gru_encode(T.matmul(facts, p.w, p.b), gates, p)
 
 
-def _last_state(xs, p, mask=None):
+def _last_state(xs, p):
     """Final state of one GRU layer over the rows of ``xs`` (one input per step)."""
-    return T.take(_run_gru_layer(Tensor(np.asarray(xs, dtype=np.float64)), p, mask), (..., -1, slice(None)))
+    return T.take(_run_gru_layer(Tensor(np.asarray(xs, dtype=np.float64)), p), (..., -1, slice(None)))
 
 
 def _cols(start, stop):
     return (..., slice(start, stop))
 
 
-def _reference_scan(proj, u_gates, u_h, gate=None, mask=None):
+def _reference_scan(proj, u_gates, u_h, gate=None):
     """The recurrence ``T.gru_scan`` fuses, one ``T`` op at a time (float64 oracle)."""
     H, G = u_h.data.shape[0], u_gates.data.shape[1]
     h = Tensor(np.zeros(proj.data.shape[:-2] + (H,)))
@@ -86,11 +86,7 @@ def _reference_scan(proj, u_gates, u_h, gate=None, mask=None):
             z = T.take(gate, _cols(j, j + 1))
             r = sigmoid(T.take(px, _cols(0, H)) + hu)
         h_cand = T.tanh(T.take(px, _cols(G, G + H)) + T.matmul(mul(r, h), u_h))
-        h_new = mul(z, h_cand) + mul(-z + 1.0, h)
-        if mask is not None:
-            m = Tensor(mask[..., j : j + 1])
-            h_new = mul(m, h_new) + mul(-m + 1.0, h)
-        h = h_new
+        h = mul(z, h_cand) + mul(-z + 1.0, h)
         states.append(h)
     return T.stack(states, axis=-2)
 
@@ -134,14 +130,17 @@ def test_gru_shape_errors():
         T.gru_scan(Tensor(np.zeros((2, 12))), u_gates, p.u_h, gate=Tensor(np.zeros(2)))
     with pytest.raises(DimensionError):
         T.gru_scan(Tensor(np.zeros((2, 8))), u_r, p.u_h, gate=Tensor(np.zeros(3)))
-    with pytest.raises(DimensionError):
-        T.gru_scan(Tensor(np.zeros((2, 12))), u_gates, p.u_h, mask=np.ones(3))
 
 
 @pytest.mark.parametrize("external_gate", [False, True])
 @pytest.mark.parametrize("lead", [(), (2, 3)])
-@pytest.mark.parametrize("masked", [False, True])
-def test_gru_scan_matches_per_step_reference(external_gate, lead, masked):
+@pytest.mark.parametrize("ragged", [False, True])
+def test_gru_scan_matches_per_step_reference(external_gate, lead, ragged):
+    """Unless ``ragged``, every step's state reaches the loss; if ``ragged``, each row's first 1..L do.
+
+    A ragged read is how ``encode_token_batch`` reads its codes: the steps
+    past it must get exactly zero gradient.
+    """
     rng = _rng(20)
     H, L = 3, 5
     G = H if external_gate else 2 * H
@@ -149,14 +148,17 @@ def test_gru_scan_matches_per_step_reference(external_gate, lead, masked):
     u_gates = Tensor(rng.standard_normal((H, G)), requires_grad=True)
     u_h = Tensor(rng.standard_normal((H, H)), requires_grad=True)
     gate = Tensor(rng.uniform(0.0, 1.0, lead + (L,)), requires_grad=True) if external_gate else None
-    mask = rng.integers(0, 2, lead + (L,)).astype(np.float64) if masked else None
-    weights = Tensor(rng.standard_normal(lead + (L, H)))  # every step's state reaches the loss
+    weights = rng.standard_normal(lead + (L, H))
+    past = np.arange(L) >= np.asarray(rng.integers(1, L + 1, lead))[..., None] if ragged \
+        else np.zeros(lead + (L,), dtype=bool)
+    weights[past] = 0.0
+    weights = Tensor(weights)
     tensors = [proj, u_gates, u_h] + ([gate] if external_gate else [])
 
     def run(scan):
         for t in tensors:
             t.grad = None
-        out = scan(proj, u_gates, u_h, gate=gate, mask=mask)
+        out = scan(proj, u_gates, u_h, gate=gate)
         T.tsum(mul(out, weights)).backward()
         return out.data, [t.grad for t in tensors]
 
@@ -166,6 +168,9 @@ def test_gru_scan_matches_per_step_reference(external_gate, lead, masked):
     assert np.abs(got - want).max() <= 1e-10
     for g, w in zip(got_grads, want_grads):
         assert np.abs(g - w).max() <= 1e-10
+    assert not got_grads[0][past].any()
+    if external_gate:
+        assert not got_grads[3][past].any()
 
 
 # -- attention_gru_encode ------------------------------------------------------
@@ -267,8 +272,8 @@ def _encoder(seed, vocab=9, embed=4, hidden=5, dtype=np.float64):
 
 def _encode_question(tokens, table, l1, l2):
     """One question's final layer-2 state, (H,), through the batched encoder."""
-    ids, mask = pad_token_batch([tokens])
-    h = encode_token_batch(ids, mask, table, l1, l2)
+    ids, lengths = pad_token_batch([tokens])
+    h = encode_token_batch(ids, lengths, table, l1, l2)
     return T.reshape(h, (h.data.shape[-1],))
 
 
@@ -316,8 +321,8 @@ def test_question_validation_errors():
 def test_batched_encoding_matches_per_item_with_padding():
     table, l1, l2, _ = _encoder(11)
     seqs = [[1, 2, 3], [4], [5, 6]]
-    ids, mask = pad_token_batch(seqs)
-    batched = encode_token_batch(ids, mask, table, l1, l2).data
+    ids, lengths = pad_token_batch(seqs)
+    batched = encode_token_batch(ids, lengths, table, l1, l2).data
     for i, s in enumerate(seqs):
         single = _encode_question(s, table, l1, l2).data
         assert np.allclose(batched[i], single, atol=1e-10)
@@ -331,3 +336,31 @@ def test_encoder_gradients():
 
     assert grad_check(f, store.tensors(), eps=1e-5, max_coords=3) <= 1e-4
 
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_codes_and_gradients_ignore_the_padding_ids(dtype):
+    """Codes are read at each row's last real token: any ids past it give the bits of id-0 padding.
+
+    A pad-only id's embedding row gets an all-zero gradient.
+    """
+    table, l1, l2, store = _encoder(13, vocab=9, dtype=dtype)
+    ids, lengths = pad_token_batch([[1, 2, 3, 4], [5], [6, 7], [3, 1, 7]])
+    padded = np.arange(ids.shape[1]) >= lengths[:, None]
+    assert padded.any() and not ids[padded].any()
+    weights = Tensor(_rng(14).standard_normal((len(lengths), 5)).astype(dtype))
+
+    def run(pad_ids):
+        for t in store.tensors():
+            t.grad = None
+        codes = encode_token_batch(np.where(padded, pad_ids, ids), lengths, table, l1, l2)
+        T.tsum(mul(codes, weights)).backward()
+        return codes.data, [t.grad for t in store.tensors()]
+
+    want, want_grads = run(0)
+    pad_only = 8  # no sequence uses it
+    for pad_ids in (pad_only, _rng(15).integers(0, 9, ids.shape)):
+        got, got_grads = run(pad_ids)
+        assert np.array_equal(got, want)
+        for g, w in zip(got_grads, want_grads):
+            assert np.array_equal(g, w)
+        assert not table.grad[pad_only].any()

@@ -257,11 +257,8 @@ def test_zero_step_gates_reduce_update_to_memory_question(monkeypatch):
 def test_cycle_output_dims_paper_scale():
     p, _, dims = _params(9, dtype=np.float32, fact_dim=6, memory_dim=1024,
                          question_dim=512, gate_dim=512, context_dim=512)
-    A = _facts(53, 2, 4, 6)
-    B = _facts(54, 2, 4, 6)
-    for F in (A, B):
-        for lv in F.levels:
-            lv.data = lv.data.astype(np.float32)
+    A, B = (ContextualFactSet([Tensor(lv.data.astype(np.float32)) for lv in _facts(seed, 2, 4, 6).levels])
+            for seed in (53, 54))
     q = Tensor(_rng(55).standard_normal(512).astype(np.float32))
     m1, maps, c_a, c_b = memory_cycle(A, B, init_memory(q, p), q, p)
     assert c_a.data.shape == (512,) and c_b.data.shape == (512,)

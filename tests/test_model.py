@@ -56,8 +56,8 @@ def case():
 def _reference_run(model, batch, b, k):
     """``run_episodes`` on item ``b``'s facts with candidate ``k``'s fused question."""
     A, B = model._facts(batch["features_a"][b : b + 1], batch["features_b"][b : b + 1])
-    q = model._question(batch["q_ids"][b : b + 1], batch["q_mask"][b : b + 1])
-    e = encode_token_batch(batch["cand_ids"][b, k : k + 1], batch["cand_mask"][b, k : k + 1],
+    q = model._question(batch["q_ids"][b : b + 1], batch["q_len"][b : b + 1])
+    e = encode_token_batch(batch["cand_ids"][b, k : k + 1], batch["cand_len"][b, k : k + 1],
                            model.embedding, model.q_gru1, model.q_gru2)
     fused = T.tanh(T.matmul(T.concat([q, e], axis=-1), model.fuse_w, model.fuse_b))
     m_h, maps = run_episodes(A, B, fused, model.comem, model.config.cycles)

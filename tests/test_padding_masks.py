@@ -1,9 +1,9 @@
-"""Padding masks on dataset batches whose questions and candidates differ in length.
+"""Padding on dataset batches whose questions and candidates differ in length.
 
 The synthetic generator gives every question of a task one length and every
 candidate one token, so its batches never pad.  The fixture here keeps the
 generated features and answers but rewrites each question and candidate to
-1-8 random tokens, so every batch pads and the masks decide the result.
+1-8 random tokens, so every batch pads and the lengths decide the result.
 """
 
 import functools
@@ -58,8 +58,8 @@ def test_a_padded_batch_equals_its_items_run_one_by_one(ragged_dir, task):
     ds = Dataset(ragged_dir, task)
     items = ds.items["train"]
     batch = ds.batch(items)
-    masks = [batch["q_mask"]] + ([batch["cand_mask"]] if task.is_multiple_choice else [])
-    assert all(0.0 < m.mean() < 1.0 for m in masks)  # every mask pads some rows
+    padded = [("q_ids", "q_len")] + ([("cand_ids", "cand_len")] if task.is_multiple_choice else [])
+    assert all(batch[n].min() < batch[ids].shape[-1] for ids, n in padded)  # every id array pads some rows
     model = _model(ds, task)
     out, _ = model._forward(batch)
     losses = D.task_loss(task, out, batch["answers"]).data

@@ -208,7 +208,7 @@ def _bytes_kept(forward) -> int:
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert y._backward is not None
+    assert y._node._backward is not None
     return held - y.data.nbytes
 
 
@@ -532,9 +532,9 @@ def test_additive_gate_under_no_grad_records_nothing():
     taped = T.additive_gate(*args)
     with T.no_grad():
         quiet = T.additive_gate(*args)
-    assert taped._parents and taped._backward is not None
+    assert taped._parents and taped._node._backward is not None
     assert np.array_equal(quiet.data, taped.data)
-    assert quiet._parents == () and quiet._backward is None
+    assert quiet._parents == () and quiet._node._backward is None
 
 
 def test_additive_gate_rejects_mismatched_shapes():
@@ -576,9 +576,9 @@ def test_gru_scan_under_no_grad_records_nothing():
     taped = T.gru_scan(*args, gate=gate)
     with T.no_grad():
         quiet = T.gru_scan(*args, gate=gate)
-    assert taped._parents and taped._backward is not None
+    assert taped._parents and taped._node._backward is not None
     assert np.array_equal(quiet.data, taped.data)
-    assert quiet._parents == () and quiet._backward is None
+    assert quiet._parents == () and quiet._node._backward is None
 
 
 def test_take_gradient_accumulates_repeats():
@@ -650,11 +650,21 @@ def test_finite_outputs_on_finite_inputs():
     assert np.isfinite(loss.data).all() and np.isfinite(x.grad).all()
 
 
+def test_data_cannot_be_reassigned():
+    """The node records the value's shape and dtype, so ``data`` is read-only; its array stays writable."""
+    t = Tensor(np.zeros(3), requires_grad=True)
+    with pytest.raises(AttributeError):
+        t.data = t.data.astype(np.float32)
+    t.data[...] = 1.0
+    T.tsum(t).backward()
+    assert t.data.dtype == t.grad.dtype == np.float64 and np.array_equal(t.data, np.ones(3))
+
+
 def test_no_grad_blocks_tape():
     x = _param([1.0, 2.0])
     with T.no_grad():
         y = T.square(x)
-    assert y._parents == () and y._backward is None
+    assert y._parents == () and y._node._backward is None
 
 
 def test_grad_shape_always_matches_data():

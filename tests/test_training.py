@@ -122,7 +122,7 @@ def _reference_adam_step(params, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         m += (1.0 - beta1) * g
         v *= beta2
         v += (1.0 - beta2) * (g * g)
-        p.data -= p.data.dtype.type(lr * correction) * m / (np.sqrt(v) + eps)
+        p.data[...] -= p.data.dtype.type(lr * correction) * m / (np.sqrt(v) + eps)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
