@@ -194,7 +194,7 @@ def load_qa_file(path, vocab_size: Optional[int] = None, answer_vocab: Optional[
     return items
 
 
-def _read_json_object(path) -> dict:
+def read_json_object(path) -> dict:
     """A JSON file's top-level object; anything else, or an unreadable file, is a ``FormatError``."""
     try:
         value = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -458,8 +458,8 @@ class Dataset:
     def __init__(self, root, task: TaskKind):
         self.root = Path(root)
         self.task = task
-        self.manifest = _read_json_object(self.root / "manifest.json")
-        self.vocab: dict[str, int] = _read_json_object(self.root / "vocab.json")
+        self.manifest = read_json_object(self.root / "manifest.json")
+        self.vocab: dict[str, int] = read_json_object(self.root / "vocab.json")
         if not isinstance(self.manifest.get("answer_vocab", 0), int):
             raise FormatError(f"{self.root / 'manifest.json'}: answer_vocab must be an integer")
         spec = self.manifest.get("spec")

@@ -8,8 +8,8 @@ backward reads (a parent's value for ``matmul``, its own output for
 backward reads is freed once the forward drops its last reference.
 ``Tensor.backward`` replays the closures in reverse topological order and
 frees the graph as it goes.  Where a backward needs a cheap layout of an input
-it already holds (im2col taps, a re-laid kernel, contiguous rows), it derives
-that layout again instead of keeping a copy.  Training runs in float32;
+it already holds (``_im2col`` taps, a re-laid kernel, contiguous rows), it
+derives that layout again instead of keeping a copy.  Training runs in float32;
 gradient checking builds float64 graphs (see ``grad_check``).
 
 All sequence operations accept an optional leading batch dimension: a
@@ -77,8 +77,6 @@ class Tensor:
     __slots__ = ("_data", "_node")
 
     def __init__(self, data, requires_grad=False):
-        if isinstance(data, Tensor):
-            data = data.data
         data = np.asarray(data)
         if not np.issubdtype(data.dtype, np.floating):
             data = data.astype(DEFAULT_DTYPE)
@@ -372,21 +370,23 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 # -- linear algebra ----------------------------------------------------------
 
 
-def _gemv(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``x @ w`` for a (D, 1) ``w``, each row's value independent of how many rows ``x`` has.
-
-    BLAS gemv kernels sum a ragged tail of rows in another order, so ``x``
-    runs padded with zero rows to a multiple of 4.
-    """
-    pad = -len(x) % 4
-    if pad:
-        x = np.concatenate([x, np.zeros((pad, x.shape[1]), dtype=x.dtype)])
-    return (x @ w)[: len(x) - pad]
-
-
 def _rows(a: np.ndarray) -> np.ndarray:
     """``a`` as one C-contiguous (rows, last axis) matrix, so BLAS sees one large gemm instead of a batch loop."""
     return np.ascontiguousarray(a).reshape(-1, a.shape[-1])
+
+
+def _gemm(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``a[..., D] @ w[D, E]`` as one gemm over ``_rows(a)``, shaped (..., E).
+
+    For a single-column ``w`` the rows run padded with zero rows to a multiple
+    of 4: BLAS gemv kernels sum a ragged tail of rows in another order, and
+    the padding keeps each row's value independent of how many rows ``a`` has.
+    """
+    x = _rows(a)
+    pad = -len(x) % 4 if w.shape[1] == 1 else 0
+    if pad:
+        x = np.concatenate([x, np.zeros((pad, x.shape[1]), dtype=x.dtype)])
+    return (x @ w)[: len(x) - pad].reshape(a.shape[:-1] + (w.shape[1],))
 
 
 def matmul(x: Tensor, W: Tensor, b: Optional[Tensor] = None) -> Tensor:
@@ -396,7 +396,7 @@ def matmul(x: Tensor, W: Tensor, b: Optional[Tensor] = None) -> Tensor:
     dout = W.data.shape[1]
     if b is not None and b.data.shape != (dout,):
         raise DimensionError(f"matmul: bias shape {b.shape} does not match output width {dout}")
-    data = _gemv(_rows(x.data), W.data) if dout == 1 else _rows(x.data) @ W.data
+    data = _gemm(x.data, W.data)
     if b is not None:
         data += b.data
     xd, wd, xn, wn = x.data, W.data, x._node, W._node
@@ -405,14 +405,14 @@ def matmul(x: Tensor, W: Tensor, b: Optional[Tensor] = None) -> Tensor:
     def backward(g):
         g2 = _rows(g)
         if _on_tape(xn):
-            _accumulate(xn, (g2 @ wd.T).reshape(xd.shape))
+            _accumulate(xn, _gemm(g2, wd.T).reshape(xd.shape))
         if _on_tape(wn):
             _accumulate(wn, _rows(xd).T @ g2)
         if bn is not None:
             _accumulate(bn, g)
 
     parents = (x, W) if b is None else (x, W, b)
-    return _make(data.reshape(xd.shape[:-1] + (dout,)), parents, backward, (xd, wd))
+    return _make(data, parents, backward, (xd, wd))
 
 
 def mix_levels(s: Tensor, x: Tensor) -> Tensor:
@@ -462,11 +462,11 @@ def additive_gate(f: Tensor, u: Tensor, w: Tensor) -> Tensor:
         np.add(f2[r], u2[r][:, None], out=t)
         return np.tanh(t, out=t)
 
-    buf = np.zeros((rows + -rows % 4, Z), dtype=dtype)  # zero rows up to a multiple of 4 spare ``_gemv`` a copy
+    buf = np.zeros((rows + -rows % 4, Z), dtype=dtype)  # zero rows up to a multiple of 4 spare ``_gemm`` a copy
     data = np.empty((len(f2), rows), dtype=dtype)
     for r in range(len(f2)):
         tanh_block(r, buf)
-        data[r] = _gemv(buf, wd)[:rows, 0]
+        data[r] = _gemm(buf, wd)[:rows, 0]
 
     def backward(g):
         g2 = np.ascontiguousarray(g).reshape(len(f2), K, N * L)
@@ -531,16 +531,26 @@ def _check_seq(x: Tensor, name: str):
         raise DimensionError(f"{name}: expected (L, C) or (B, L, C), got {x.shape}")
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, pad: int, lout: int) -> np.ndarray:
-    """(..., L, Cin) -> (..., lout, k*Cin): each output step's k taps side by side, zero past the edges."""
+def _im2col(x: np.ndarray, k: int, stride: int, pad: tuple[int, int], lout: int) -> np.ndarray:
+    """(..., L, C) -> (..., lout, k*C): tap ``r`` of step ``i`` reads step ``stride*i + r`` of ``x`` padded by ``(left, right)`` zeros."""
     pad_spec = [(0, 0)] * x.ndim
-    pad_spec[-2] = (pad, pad)
-    xp = np.pad(x, pad_spec) if pad else x
-    span, cin = stride * (lout - 1) + 1, x.shape[-1]
-    cols = np.empty(x.shape[:-2] + (lout, k * cin), dtype=x.dtype)
+    pad_spec[-2] = pad
+    xp = np.pad(x, pad_spec) if any(pad) else x
+    span, c = stride * (lout - 1) + 1, x.shape[-1]
+    cols = np.empty(x.shape[:-2] + (lout, k * c), dtype=x.dtype)
     for r in range(k):
-        cols[..., r * cin : (r + 1) * cin] = xp[..., r : r + span : stride, :]
+        cols[..., r * c : (r + 1) * c] = xp[..., r : r + span : stride, :]
     return cols
+
+
+def _col2im(cols: np.ndarray, k: int, stride: int, length: int) -> np.ndarray:
+    """(..., lout, k*C) -> (..., length, C), the adjoint of ``_im2col``: tap ``r`` of step ``i`` adds at ``stride*i + r``."""
+    lout, c = cols.shape[-2], cols.shape[-1] // k
+    span = stride * (lout - 1) + 1
+    out = np.zeros(cols.shape[:-2] + (length, c), dtype=cols.dtype)
+    for r in range(k):
+        out[..., r : r + span : stride, :] += cols[..., r * c : (r + 1) * c]
+    return out
 
 
 def conv1d_temporal(x: Tensor, K: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
@@ -549,7 +559,7 @@ def conv1d_temporal(x: Tensor, K: Tensor, stride: int = 1, pad: int = 0) -> Tens
     ``x``: (..., L, Cin), ``K``: (k, Cin, Cout) -> (..., L', Cout) with
     ``L' = (L + 2 pad - k) // stride + 1``.  Runs as one im2col gemm; the
     backward gathers the taps again for the kernel gradient instead of
-    keeping them.
+    keeping them, and scatters the input gradient back with ``_col2im``.
     """
     _check_seq(x, "conv1d_temporal")
     if K.data.ndim != 3:
@@ -562,21 +572,16 @@ def conv1d_temporal(x: Tensor, K: Tensor, stride: int = 1, pad: int = 0) -> Tens
     if L + 2 * pad < k or lout < 1:
         raise GeometryError(f"conv1d_temporal: L={L}, pad={pad}, k={k}, stride={stride} gives empty output")
     xd, kd, xn, kn = x.data, K.data, x._node, K._node
-    cols2 = _im2col(xd, k, stride, pad, lout).reshape(-1, k * cin)
-    data = (cols2 @ kd.reshape(k * cin, cout)).reshape(xd.shape[:-2] + (lout, cout))
+    data = _gemm(_im2col(xd, k, stride, (pad, pad), lout), kd.reshape(k * cin, cout))
 
     def backward(g):
         g2 = _rows(g)
         if _on_tape(kn):
-            cols2 = _im2col(xd, k, stride, pad, lout).reshape(-1, k * cin)
+            cols2 = _im2col(xd, k, stride, (pad, pad), lout).reshape(-1, k * cin)
             _accumulate(kn, (cols2.T @ g2).reshape(k, cin, cout))
         if _on_tape(xn):
-            gcols = (g2 @ kd.reshape(k * cin, cout).T).reshape(xd.shape[:-2] + (lout, k * cin))
-            gxp = np.zeros(xd.shape[:-2] + (L + 2 * pad, cin), dtype=xd.dtype)
-            span = stride * (lout - 1) + 1
-            for r in range(k):
-                gxp[..., r : r + span : stride, :] += gcols[..., r * cin : (r + 1) * cin]
-            _accumulate(xn, gxp[..., pad : pad + L, :])
+            gcols = _gemm(g, kd.reshape(k * cin, cout).T)
+            _accumulate(xn, _col2im(gcols, k, stride, L + 2 * pad)[..., pad : pad + L, :])
 
     return _make(data, (x, K), backward, (xd, kd))
 
@@ -590,9 +595,11 @@ def _taps_kernel(K: np.ndarray) -> np.ndarray:
 def deconv1d_temporal(x: Tensor, K: Tensor, target_len: int) -> Tensor:
     """Stride-2 transposed convolution over time, right-trimmed to ``target_len``.
 
-    Scatter form of the adjoint of ``conv1d_temporal(stride=2)``:
-    ``y[2i + r] += x[i] @ K[r]``.  ``target_len`` must be ``2L - 1`` or ``2L``.
-    The backward lays the kernel out again instead of keeping the copy.
+    The adjoint of ``conv1d_temporal(stride=2)``: one gemm gives every tap's
+    contribution and ``_col2im`` adds ``x[i] @ K[r]`` at step ``2i + r`` of the
+    raw ``2(L - 1) + k`` steps.  ``target_len`` must be ``2L - 1`` or ``2L``.
+    The backward gathers the gradient's taps once with ``_im2col`` and lays
+    the kernel out again instead of keeping the copy.
     """
     _check_seq(x, "deconv1d_temporal")
     if K.data.ndim != 3:
@@ -607,23 +614,12 @@ def deconv1d_temporal(x: Tensor, K: Tensor, target_len: int) -> Tensor:
             f"deconv1d_temporal: target_len={target_len} not reachable from L={L}, k={k} (admissible {2*L-1} or {2*L}, raw {raw_len})"
         )
     xd, kd, xn, kn = x.data, K.data, x._node, K._node
-
-    # one gemm produces every tap's contribution; tap r of input step i lands on
-    # output step 2i + r, and the first n[r] of them fall inside ``target_len``
-    taps = (_rows(xd) @ _taps_kernel(kd)).reshape(xd.shape[:-1] + (k, cout))
-    n = [len(range(r, min(target_len, r + 2 * L), 2)) for r in range(k)]
-    data = np.zeros(xd.shape[:-2] + (target_len, cout), dtype=xd.dtype)
-    for r in range(k):
-        data[..., r : r + 2 * n[r] : 2, :] += taps[..., : n[r], r, :]
+    data = _col2im(_gemm(xd, _taps_kernel(kd)), k, 2, raw_len)[..., :target_len, :]
 
     def backward(g):
-        g_taps = np.empty(xd.shape[:-1] + (k, cout), dtype=g.dtype)
-        for r in range(k):
-            g_taps[..., : n[r], r, :] = g[..., r : r + 2 * n[r] : 2, :]
-            g_taps[..., n[r] :, r, :] = 0.0
-        g2 = g_taps.reshape(-1, k * cout)
+        g2 = _im2col(g, k, 2, (0, raw_len - target_len), L).reshape(-1, k * cout)
         if _on_tape(xn):
-            _accumulate(xn, (g2 @ _taps_kernel(kd).T).reshape(xd.shape))
+            _accumulate(xn, _gemm(g2, _taps_kernel(kd).T).reshape(xd.shape))
         if _on_tape(kn):
             # one gemm per tap, stacked tap-major, so the gradient is C-contiguous like K
             _accumulate(kn, _rows(xd).T @ g2.reshape(-1, k, cout).swapaxes(0, 1))
@@ -691,10 +687,6 @@ def gru_scan(proj: Tensor, u_gates: Tensor, u_h: Tensor, gate: Optional[Tensor] 
         raise DimensionError(f"gru_scan: gate shape {gate.shape} vs projections {proj.shape}")
     dtype, L, lead = proj.data.dtype, steps_shape[-1], steps_shape[:-1]
 
-    def mm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        # one 2-D gemm over the contiguous leading axes; a batched matmul would loop per matrix
-        return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + (w.shape[-1],))
-
     # step j of proj and gate is a view at axis -2 / -1; states are step-major
     parents = (proj, u_gates, u_h) + (() if gate is None else (gate,))
     record = _recording(parents)
@@ -706,14 +698,14 @@ def gru_scan(proj: Tensor, u_gates: Tensor, u_h: Tensor, gate: Optional[Tensor] 
         zs = np.empty(states, dtype=dtype) if gate is None else np.moveaxis(gate.data, -1, 0)[..., None]
     for j in range(L):
         h, px = hs[j], proj.data[..., j, :]
-        hu = mm(h, ugd)
+        hu = _gemm(h, ugd)
         if gate is None:
             z = _sigmoid(px[..., :H] + hu[..., :H])
             r = _sigmoid(px[..., H:G] + hu[..., H:])
         else:
             z = gate.data[..., j : j + 1]
             r = _sigmoid(px[..., :H] + hu)
-        c = np.tanh(px[..., G:] + mm(r * h, uhd))
+        c = np.tanh(px[..., G:] + _gemm(r * h, uhd))
         hs[j + 1] = z * c + (1.0 - z) * h
         if record:
             rs[j], cs[j] = r, c
@@ -733,14 +725,14 @@ def gru_scan(proj: Tensor, u_gates: Tensor, u_h: Tensor, gate: Optional[Tensor] 
             dh = dh + g[..., j, :]
             h, z, r, c = hs[j], zs[j], rs[j], cs[j]
             da_h = dh * z * (1.0 - c * c)
-            d_rh = mm(da_h, uhd.T)
+            d_rh = _gemm(da_h, uhd.T)
             if gn is None:
                 dproj[j, ..., :H] = dh * (c - h) * z * (1.0 - z)
             else:
                 dz_ext[j] = (dh * (c - h)).sum(axis=-1, keepdims=True)
             dproj[j, ..., G - H : G] = d_rh * h * r * (1.0 - r)
             dproj[j, ..., G:] = da_h
-            dh = dh * (1.0 - z) + d_rh * r + mm(np.ascontiguousarray(dproj[j, ..., :G]), ugd.T)
+            dh = dh * (1.0 - z) + d_rh * r + _gemm(dproj[j, ..., :G], ugd.T)
         _accumulate(pn, np.moveaxis(dproj, 0, -2))
         if gn is not None:
             _accumulate(gn, np.moveaxis(dz_ext[..., 0], 0, -1))

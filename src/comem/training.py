@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, read_json_object
 from .decoders import TaskKind
 from .errors import ConfigError, DomainError, FormatError, NumericError
 from .model import CoMemoryModel, ModelConfig
@@ -176,11 +176,8 @@ def load_checkpoint(path) -> tuple[CoMemoryModel, dict]:
     without drawing initial weights.
     """
     path = Path(path)
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as e:  # ValueError covers JSON and UTF-8 decoding
-        raise FormatError(f"{path}: unreadable checkpoint manifest ({e})")
-    fmt = manifest.get("format") if isinstance(manifest, dict) else None
+    manifest = read_json_object(path)
+    fmt = manifest.get("format")
     if fmt != CHECKPOINT_FORMAT:
         raise FormatError(f"{path}: unsupported checkpoint format {fmt!r}, expected {CHECKPOINT_FORMAT!r}")
     blob_name = _field(manifest, "blob", path)
@@ -307,15 +304,15 @@ def evaluate(checkpoint_path, data_dir, split: str = "test"):
     return evaluate_model(model, dataset, split=split)
 
 
-def _step_gradients(model: CoMemoryModel, dataset: Dataset, chunk: list, micro: int) -> float:
-    """Backward the mean loss of ``chunk``, ``micro`` items per graph; returns that mean.
+def _step_gradients(model: CoMemoryModel, dataset: Dataset, chunk: list) -> float:
+    """Backward the mean loss of ``chunk``, ``ITEMS_PER_PASS`` items per graph; returns that mean.
 
     Each piece's backward is weighted ``len(piece) / len(chunk)``, so the
     parameters' accumulated gradients are those of the whole chunk's mean.
     """
     total = 0.0
-    for ms in range(0, len(chunk), micro):
-        sub = chunk[ms : ms + micro]
+    for ms in range(0, len(chunk), ITEMS_PER_PASS):
+        sub = chunk[ms : ms + ITEMS_PER_PASS]
         loss, _ = model.forward_loss(dataset.batch(sub))
         value = float(loss.data)
         if not np.isfinite(value):
@@ -352,7 +349,7 @@ def train(
         losses = []
         for start in range(0, len(items), cfg.batch_size):
             chunk = [items[int(i)] for i in order[start : start + cfg.batch_size]]
-            losses.append(_step_gradients(model, dataset, chunk, ITEMS_PER_PASS))
+            losses.append(_step_gradients(model, dataset, chunk))
             adam_step(model.store, state, lr=cfg.learning_rate)
             model.store.zero_grad()  # frees the gradients for the val pass and the checkpoint
         val_metric, _ = evaluate_model(model, dataset, split="val")

@@ -200,6 +200,21 @@ def test_deconv_rejects_unreachable_targets():
             T.deconv1d_temporal(x, K, target_len=bad)
 
 
+@pytest.mark.parametrize("lead, L", [((), 8), ((2,), 7)], ids=["unbatched-even", "batched-odd"])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("stride, pad", [(1, (1, 1)), (2, (0, 0)), (2, (0, 1)), (2, (1, 1))])
+def test_col2im_is_the_adjoint_of_im2col(stride, pad, k, lead, L):
+    """<im2col(x), c> = <x, col2im(c) trimmed by the pad>: the scatter that conv's input gradient and the deconv share."""
+    rng, C = _rng(21), 3
+    lout = (L + sum(pad) - k) // stride + 1
+    x = rng.standard_normal(lead + (L, C))
+    c = rng.standard_normal(lead + (lout, k * C))
+    lhs = np.sum(T._im2col(x, k, stride, pad, lout) * c)
+    back = T._col2im(c, k, stride, L + sum(pad))[..., pad[0] : pad[0] + L, :]
+    assert back.shape == x.shape
+    assert abs(lhs - np.sum(x * back)) <= 1e-12 * max(1.0, abs(lhs))
+
+
 def _bytes_kept(forward) -> int:
     """Bytes a taped forward still holds beyond its output; numpy reports its buffers to tracemalloc."""
     tracemalloc.start()

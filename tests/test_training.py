@@ -570,7 +570,7 @@ def test_training_and_evaluation_run_items_per_pass_items_per_forward(tmp_path, 
     assert passes["predict"] == [8, 8, 4, 3]
 
 
-def test_step_gradients_do_not_depend_on_the_chunking(data_dir):
+def test_step_gradients_do_not_depend_on_the_chunking(data_dir, monkeypatch):
     """Float64: chunks of 1, 4, 5 (the last one ragged) and 16 items give the 16-item mean loss and gradients
     up to summation order."""
     ds = Dataset(data_dir, TaskKind.STATE_TRANSITION)
@@ -578,9 +578,10 @@ def test_step_gradients_do_not_depend_on_the_chunking(data_dir):
     assert len(chunk) == 16
     model = CoMemoryModel(model_config_for(ds, _cfg("trans"), dims=TINY_DIMS), seed=3, dtype=np.float64)
     results = []
-    for micro in (1, 4, 5, 16):
+    for items_per_pass in (1, 4, 5, 16):
+        monkeypatch.setattr(training, "ITEMS_PER_PASS", items_per_pass)
         model.store.zero_grad()
-        loss = _step_gradients(model, ds, chunk, micro)
+        loss = _step_gradients(model, ds, chunk)
         results.append((loss, {name: p.grad.copy() for name, p in model.store.items()}))
     loss16, grads16 = results[-1]
     largest = max(np.abs(g).max() for g in grads16.values())
