@@ -1,4 +1,4 @@
-"""Feature/QA persistence and the deterministic synthetic video-QA generator.
+"""Feature/QA persistence, the deterministic synthetic video-QA generator, and the batch dict the model reads.
 
 A synthetic episode is a sequence of runs (action id, object id, duration)
 covering ``length`` units.  Motion features are a fixed random projection
@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import json
 import struct
+from collections import Counter
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .decoders import COUNT_MAX, NUM_CHOICES, TaskKind, num_answers
 from .errors import DomainError, FormatError
-from .model import make_batch
 
 MAGIC = b"CMF1"
 VERSION = 1
@@ -72,18 +72,10 @@ class FeatureSequence:
             raise DomainError("FeatureSequence: values must be finite")
         self.values = values
 
-    @property
-    def length(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
 
 def write_feature_file(path, seq: FeatureSequence):
     payload = np.ascontiguousarray(seq.values, dtype="<f4").tobytes()
-    header = MAGIC + struct.pack("<III", VERSION, seq.length, seq.width)
+    header = MAGIC + struct.pack("<III", VERSION, *seq.values.shape)
     Path(path).write_bytes(header + payload)
 
 
@@ -109,6 +101,11 @@ def read_feature_file(path) -> FeatureSequence:
 
 
 # -- QA items ------------------------------------------------------------------
+
+
+def is_json_int(value) -> bool:
+    """An integer read from JSON: an ``int`` that is not a ``bool`` (``true``/``false``)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -139,7 +136,7 @@ def _validate_item(d: dict, lineno: int, vocab_size: Optional[int] = None,
             fail(f"{what} {value} outside 0..{'' if top is None else top - 1}")
 
     def tokens(seq, what: str) -> list[int]:
-        if not isinstance(seq, list) or not seq or not all(isinstance(t, int) for t in seq):
+        if not isinstance(seq, list) or not seq or not all(is_json_int(t) for t in seq):
             fail(f"{what} must be a non-empty list of token ids")
         for t in seq:
             check_range(t, vocab_size, f"{what} token id")
@@ -161,7 +158,7 @@ def _validate_item(d: dict, lineno: int, vocab_size: Optional[int] = None,
         fail(f"unknown task {d['task']!r}")
     question = tokens(d["question"], "question")
     answer = d["answer"]
-    if not isinstance(answer, int):
+    if not is_json_int(answer):
         fail("answer must be an integer")
     candidates = d.get("candidates")
     if task.is_multiple_choice:
@@ -276,42 +273,22 @@ def _draw_runs(spec: SyntheticSpec, rng: np.random.Generator) -> list[tuple[int,
     return runs
 
 
-def _unit_labels(runs, length) -> tuple[np.ndarray, np.ndarray]:
-    acts = np.empty(length, dtype=np.int64)
-    objs = np.empty(length, dtype=np.int64)
-    pos = 0
-    for action, obj, dur in runs:
-        acts[pos : pos + dur] = action
-        objs[pos : pos + dur] = obj
-        pos += dur
-    return acts, objs
-
-
-class _Question:
-    """Token rendering against the generator vocabulary."""
-
-    def __init__(self, vocab: dict[str, int]):
-        self.vocab = vocab
-
-    def ids(self, *words: str) -> list[int]:
-        return [self.vocab[w] for w in words]
-
-    def action(self, a: int) -> int:
-        return self.vocab[f"action_{a}"]
-
-
-def _make_items(spec, runs, index, rng, q: _Question) -> Optional[list[QAItem]]:
+def _make_items(spec, runs, index, rng, vocab: dict[str, int]) -> Optional[list[QAItem]]:
     """Build one QA item per feasible task; None forces an episode retry."""
     video = f"v{index:06d}"
     actions_in = [r[0] for r in runs]
-    counts: dict[int, int] = {}
-    for a in actions_in:
-        counts[a] = counts.get(a, 0) + 1
+    counts = Counter(actions_in)  # runs per action, in order of first occurrence
     items: list[QAItem] = []
+
+    def ids(*words: str) -> list[int]:
+        return [vocab[w] for w in words]
+
+    def action(a: int) -> int:
+        return vocab[f"action_{a}"]
 
     def mc_candidates(truth_token: int, pool: list[int]) -> tuple[list[list[int]], int]:
         picked = rng.choice(len(pool), size=NUM_CHOICES - 1, replace=False)
-        cands = [[q.action(pool[int(i)])] for i in picked]
+        cands = [[action(pool[int(i)])] for i in picked]
         slot = int(rng.integers(0, NUM_CHOICES))
         cands.insert(slot, [truth_token])
         return cands, slot
@@ -321,23 +298,24 @@ def _make_items(spec, runs, index, rng, q: _Question) -> Optional[list[QAItem]]:
     x = int(rng.integers(0, spec.actions))
     items.append(QAItem(
         id=f"e{index:06d}_count", task=TaskKind.REPETITION_COUNT, video=video,
-        question=q.ids("how", "many", "times", "does") + [q.action(x)] + q.ids("occur"),
-        answer=min(COUNT_MAX, counts.get(x, 0)),
+        question=ids("how", "many", "times", "does") + [action(x)] + ids("occur"),
+        answer=min(COUNT_MAX, counts[x]),
     ))
 
     # action: which action occurs exactly k times (count must be unambiguous)
-    unique = [a for a, c in counts.items() if sum(1 for v in counts.values() if v == c) == 1 and c <= COUNT_MAX]
+    multiplicity = Counter(counts.values())
+    unique = [a for a, c in counts.items() if multiplicity[c] == 1 and c <= COUNT_MAX]
     if not unique:
         return None
     x = unique[int(rng.integers(0, len(unique)))]
     k = counts[x]
-    pool = [a for a in range(spec.actions) if counts.get(a, 0) != k]
+    pool = [a for a in range(spec.actions) if counts[a] != k]
     if len(pool) < NUM_CHOICES - 1:
         return None
-    cands, slot = mc_candidates(q.action(x), pool)
+    cands, slot = mc_candidates(action(x), pool)
     items.append(QAItem(
         id=f"e{index:06d}_action", task=TaskKind.REPEATING_ACTION, video=video,
-        question=q.ids("which", "action", "occurs", "exactly") + [q.vocab[f"num_{k}"]] + q.ids("times"),
+        question=ids("which", "action", "occurs", "exactly", f"num_{k}", "times"),
         answer=slot, candidates=cands,
     ))
 
@@ -351,24 +329,24 @@ def _make_items(spec, runs, index, rng, q: _Question) -> Optional[list[QAItem]]:
         x = xs[int(rng.integers(0, len(xs)))]
         truth = followers[x]
         pool = [a for a in range(spec.actions) if a != truth]
-        cands, slot = mc_candidates(q.action(truth), pool)
+        cands, slot = mc_candidates(action(truth), pool)
         items.append(QAItem(
             id=f"e{index:06d}_trans", task=TaskKind.STATE_TRANSITION, video=video,
-            question=q.ids("which", "action", "follows", "the", "first", "run", "of") + [q.action(x)],
+            question=ids("which", "action", "follows", "the", "first", "run", "of") + [action(x)],
             answer=slot, candidates=cands,
         ))
 
     # frame: which object performs action X (X must bind a single object)
     by_action: dict[int, set[int]] = {}
-    for action, obj, _ in runs:
-        by_action.setdefault(action, set()).add(obj)
+    for a, obj, _ in runs:
+        by_action.setdefault(a, set()).add(obj)
     unambiguous = sorted(a for a, objs in by_action.items() if len(objs) == 1)
     if not unambiguous:
         return None
     x = unambiguous[int(rng.integers(0, len(unambiguous)))]
     items.append(QAItem(
         id=f"e{index:06d}_frame", task=TaskKind.FRAME_QA, video=video,
-        question=q.ids("which", "object", "performs") + [q.action(x)],
+        question=ids("which", "object", "performs") + [action(x)],
         answer=int(next(iter(by_action[x]))),
     ))
     return items
@@ -378,14 +356,14 @@ def generate_episode(spec: SyntheticSpec, index: int):
     """Deterministic episode: (appearance, motion, QA items, latent trace)."""
     vocab = build_vocabulary(spec)
     p_obj, p_act, p_act_a = feature_projections(spec)
-    question = _Question(vocab)
     for attempt in range(100):
         rng = _rng(spec.seed, index, attempt)
         runs = _draw_runs(spec, rng)
-        items = _make_items(spec, runs, index, rng, question)
+        items = _make_items(spec, runs, index, rng, vocab)
         if items is None:
             continue
-        acts, objs = _unit_labels(runs, spec.length)
+        run_acts, run_objs, durations = np.array(runs).T
+        acts, objs = np.repeat(run_acts, durations), np.repeat(run_objs, durations)  # per-unit labels
         appearance = (p_obj[objs] + spec.appearance_action_mix * p_act_a[acts]
                       + spec.noise * rng.standard_normal((spec.length, spec.d_a)).astype(np.float32))
         motion = p_act[acts] + spec.noise * rng.standard_normal((spec.length, spec.d_b)).astype(np.float32)
@@ -417,7 +395,6 @@ def generate_dataset(spec: SyntheticSpec, episodes: int, out_dir, force: bool = 
 
     vocab = build_vocabulary(spec)
     buckets: dict[tuple[str, str], list[QAItem]] = {}
-    counts_by_task: dict[str, int] = {}
     with open(out / "traces.jsonl", "w", encoding="utf-8") as trace_fh:
         for index in range(episodes):
             appearance, motion, items, trace = generate_episode(spec, index)
@@ -427,7 +404,6 @@ def generate_dataset(spec: SyntheticSpec, episodes: int, out_dir, force: bool = 
             split = split_of(index, episodes)
             for item in items:
                 buckets.setdefault((item.task.value, split), []).append(item)
-                counts_by_task[item.task.value] = counts_by_task.get(item.task.value, 0) + 1
 
     for task in TaskKind:
         for split in SPLITS:
@@ -442,7 +418,7 @@ def generate_dataset(spec: SyntheticSpec, episodes: int, out_dir, force: bool = 
         "episodes": episodes,
         "vocab_size": len(vocab),
         "answer_vocab": spec.objects,
-        "items_by_task": dict(sorted(counts_by_task.items())),
+        "items_by_task": dict(sorted(Counter(i.task.value for items in buckets.values() for i in items).items())),
         "splits": {s: sum(1 for i in range(episodes) if split_of(i, episodes) == s) for s in SPLITS},
     }
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1), encoding="utf-8")
@@ -450,6 +426,34 @@ def generate_dataset(spec: SyntheticSpec, episodes: int, out_dir, force: bool = 
 
 
 # -- dataset access -------------------------------------------------------------
+
+
+def pad_token_batch(seqs: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad token id sequences with id 0; returns (ids (B, T), lengths (B,))."""
+    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
+    if np.any(lengths == 0):
+        raise DomainError("pad_token_batch: empty token sequence")
+    ids = np.zeros((len(seqs), lengths.max()), dtype=np.int64)
+    for i, s in enumerate(seqs):
+        ids[i, : len(s)] = np.asarray(s, dtype=np.int64)
+    return ids, lengths
+
+
+def make_batch(features_a, features_b, questions, candidates=None) -> dict:
+    """The batch dict every forward pass reads, for items given as parallel lists.
+
+    ``features_a``/``features_b``: one (L, D) array per item; ``questions``:
+    one token id list per item; ``candidates``: per item, its
+    ``NUM_CHOICES`` candidate token id lists (multiple choice only).
+    Training callers add ``answers``.
+    """
+    batch = {"features_a": np.stack(features_a), "features_b": np.stack(features_b)}
+    batch["q_ids"], batch["q_len"] = pad_token_batch(questions)
+    if candidates is not None:
+        ids, lengths = pad_token_batch([c for item in candidates for c in item])
+        batch["cand_ids"] = ids.reshape(len(candidates), NUM_CHOICES, -1)
+        batch["cand_len"] = lengths.reshape(len(candidates), NUM_CHOICES)
+    return batch
 
 
 class Dataset:
@@ -460,11 +464,11 @@ class Dataset:
         self.task = task
         self.manifest = read_json_object(self.root / "manifest.json")
         self.vocab: dict[str, int] = read_json_object(self.root / "vocab.json")
-        if not isinstance(self.manifest.get("answer_vocab", 0), int):
+        if not is_json_int(self.manifest.get("answer_vocab", 0)):
             raise FormatError(f"{self.root / 'manifest.json'}: answer_vocab must be an integer")
         spec = self.manifest.get("spec")
         dims = [spec.get(key) for key in ("length", "d_a", "d_b")] if isinstance(spec, dict) else []
-        if len(dims) != 3 or not all(isinstance(n, int) for n in dims):
+        if len(dims) != 3 or not all(is_json_int(n) for n in dims):
             raise FormatError(f"{self.root / 'manifest.json'}: spec needs integer length, d_a and d_b")
         self._feature_shapes = ((dims[0], dims[1]), (dims[0], dims[2]))  # appearance, motion
         self.items: dict[str, list[QAItem]] = {

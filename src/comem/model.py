@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import tensor as T
 from . import decoders as D
+from .data import make_batch
 from .decoders import DecoderParams, TaskKind
 from .encoders import GruParams, encode_token_batch
 from .errors import DomainError
@@ -56,34 +56,6 @@ def tiny_model_config(task: str = "frame") -> ModelConfig:
         memory_dim=4,
         gate_dim=3,
     )
-
-
-def pad_token_batch(seqs: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Right-pad token id sequences with id 0; returns (ids (B, T), lengths (B,))."""
-    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
-    if np.any(lengths == 0):
-        raise DomainError("pad_token_batch: empty token sequence")
-    ids = np.zeros((len(seqs), lengths.max()), dtype=np.int64)
-    for i, s in enumerate(seqs):
-        ids[i, : len(s)] = np.asarray(s, dtype=np.int64)
-    return ids, lengths
-
-
-def make_batch(features_a, features_b, questions, candidates=None) -> dict:
-    """The batch dict every forward pass reads, for items given as parallel lists.
-
-    ``features_a``/``features_b``: one (L, D) array per item; ``questions``:
-    one token id list per item; ``candidates``: per item, its
-    ``NUM_CHOICES`` candidate token id lists (multiple choice only).
-    Training callers add ``answers``.
-    """
-    batch = {"features_a": np.stack(features_a), "features_b": np.stack(features_b)}
-    batch["q_ids"], batch["q_len"] = pad_token_batch(questions)
-    if candidates is not None:
-        ids, lengths = pad_token_batch([c for item in candidates for c in item])
-        batch["cand_ids"] = ids.reshape(len(candidates), D.NUM_CHOICES, -1)
-        batch["cand_len"] = lengths.reshape(len(candidates), D.NUM_CHOICES)
-    return batch
 
 
 class CoMemoryModel:

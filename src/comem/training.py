@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, read_json_object
+from .data import Dataset, is_json_int, read_json_object
 from .decoders import TaskKind
 from .errors import ConfigError, DomainError, FormatError, NumericError
 from .model import CoMemoryModel, ModelConfig
@@ -190,7 +190,7 @@ def load_checkpoint(path) -> tuple[CoMemoryModel, dict]:
         config.task_kind()
     except (TypeError, ValueError) as e:
         raise FormatError(f"{path}: bad model_config in checkpoint manifest ({e})")
-    if not all(isinstance(v, int) for k, v in asdict(config).items() if k != "task"):
+    if not all(is_json_int(v) for k, v in asdict(config).items() if k != "task"):
         raise FormatError(f"{path}: checkpoint model_config dimensions must be integers")
     entries = _field(manifest, "parameters", path)
     if not isinstance(entries, list):
@@ -205,7 +205,7 @@ def load_checkpoint(path) -> tuple[CoMemoryModel, dict]:
                 name = _field(entry, "name", path)
                 shape = _field(entry, "shape", path)
                 if not isinstance(name, str) or not isinstance(shape, list) \
-                        or not all(isinstance(n, int) and n >= 0 for n in shape):
+                        or not all(is_json_int(n) and n >= 0 for n in shape):
                     raise FormatError(f"{path}: parameter {name!r} needs a string name and a list of sizes, "
                                       f"got shape {shape!r}")
                 nbytes = _field(entry, "nbytes", path)
@@ -336,6 +336,8 @@ def train(
     """
     task = TaskKind(cfg.task)
     dataset = Dataset(data_dir, task)
+    if not dataset.items["val"]:
+        raise DomainError("validation split is empty: the best-validation checkpoint needs val items")
     model_cfg = model_config_for(dataset, cfg, dims)
     model = CoMemoryModel(model_cfg, seed=cfg.seed)
     state = AdamState(model.store)

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data import make_batch
 from .decoders import NUM_CHOICES, TaskKind, num_answers
 from .errors import DomainError
-from .model import CoMemoryModel, make_batch, tiny_model_config
+from .model import CoMemoryModel, tiny_model_config
 from .tensor import WIDE_DTYPE
 
 

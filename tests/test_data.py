@@ -1,13 +1,17 @@
 """Feature/QA file formats and the deterministic synthetic generator."""
 
 import filecmp
+import hashlib
 import json
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import comem
 from comem.data import (
     MAGIC,
     Dataset,
@@ -220,6 +224,38 @@ def test_generated_datasets_byte_identical(tmp_path):
         assert filecmp.cmp(tmp_path / "d1" / rel, tmp_path / "d2" / rel, shallow=False), rel
 
 
+def _tree_sha256(root: Path) -> str:
+    """One sha256 over every file under ``root``, in sorted path order: its relative path (UTF-8), then its bytes."""
+    h = hashlib.sha256()
+    for rel in sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()):
+        h.update(rel.encode("utf-8"))
+        h.update((root / rel).read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("spec, episodes, sha256", [
+    (SyntheticSpec(seed=1), 200, "5da71ef961502d78caafea8b25b355e70c2187d646d01df81c09fd3ea530be57"),
+    (SyntheticSpec(seed=7, length=20, actions=6, objects=5), 40,
+     "595ef539bf78831fc57bc650731651735e3f9cf030d8f7cd07764306fd2ae379"),
+], ids=["default-seed1", "short-seed7"])
+def test_generator_output_is_pinned(tmp_path, spec, episodes, sha256):
+    """Every file the generator writes, byte for byte: a change that moves a draw, a format or the
+    vocabulary changes this hash.  Feature files, traces and QA splits all feed the criterion-7
+    data and the benchmark digests, so a new hash is a new dataset."""
+    generate_dataset(spec, episodes, tmp_path / "d")
+    assert _tree_sha256(tmp_path / "d") == sha256
+
+
+def test_importing_data_loads_no_model_module():
+    """The data layer builds batches without the model stack; a fresh interpreter shows what it imports."""
+    root = str(Path(comem.__file__).resolve().parent.parent)
+    code = f"import sys; sys.path.insert(0, {root!r}); import comem.data; print(' '.join(sorted(sys.modules)))"
+    loaded = set(subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                check=True).stdout.split())
+    assert "comem.data" in loaded
+    assert not loaded & {"comem.model", "comem.memory", "comem.facts", "comem.encoders"}
+
+
 def test_generate_refuses_nonempty_dir_without_force(tmp_path):
     out = tmp_path / "d"
     out.mkdir()
@@ -409,7 +445,8 @@ def test_dataset_checks_feature_shapes_against_the_spec(small_dataset, suffix, s
         ds.batch(ds.items["train"][:2])
 
 
-@pytest.mark.parametrize("spec", [None, [34, 64, 64], {"length": 34, "d_a": 64}, {"length": 34, "d_a": 64, "d_b": "64"}])
+@pytest.mark.parametrize("spec", [None, [34, 64, 64], {"length": 34, "d_a": 64}, {"length": 34, "d_a": 64, "d_b": "64"},
+                                  {"length": True, "d_a": 64, "d_b": 64}])
 def test_dataset_manifest_spec_needs_integer_feature_dimensions(small_dataset, spec):
     path = small_dataset / "manifest.json"
     path.write_text(json.dumps({**json.loads(path.read_text(encoding="utf-8")), "spec": spec}), encoding="utf-8")
@@ -429,6 +466,17 @@ def test_dataset_rejects_question_token_outside_vocabulary(small_dataset, token)
     """-1 would wrap to the last embedding row and 999 would index past the table."""
     _rewrite_first_item(small_dataset, "frame", question=[1, token])
     with pytest.raises(FormatError, match=f"line 1: question token id {token} outside 0"):
+        Dataset(small_dataset, TaskKind.FRAME_QA)
+
+
+@pytest.mark.parametrize("fields, match", [
+    ({"answer": True}, "answer must be an integer"),
+    ({"question": [1, True]}, "question must be a non-empty list of token ids"),
+], ids=["answer", "question-token"])
+def test_dataset_rejects_json_booleans_as_integers(small_dataset, fields, match):
+    """JSON ``true`` is a Python ``int`` equal to 1; a reader that wants an integer refuses it."""
+    _rewrite_first_item(small_dataset, "frame", **fields)
+    with pytest.raises(FormatError, match=f"line 1: {match}"):
         Dataset(small_dataset, TaskKind.FRAME_QA)
 
 

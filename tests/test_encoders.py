@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import comem.tensor as T
+from comem.data import pad_token_batch
 from comem.encoders import (
     GruParams,
     _run_gru_layer,
@@ -11,7 +12,6 @@ from comem.encoders import (
     encode_token_batch,
 )
 from comem.errors import DimensionError, DomainError
-from comem.model import pad_token_batch
 from comem.tensor import ParameterStore, Tensor, grad_check
 from oracle_ops import mul, sigmoid
 

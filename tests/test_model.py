@@ -17,10 +17,11 @@ import pytest
 import comem.model as model_module
 import comem.tensor as T
 from comem import decoders as D
+from comem.data import make_batch
 from comem.encoders import encode_token_batch
 from comem.errors import DomainError
 from comem.memory import run_episodes
-from comem.model import CoMemoryModel, make_batch, tiny_model_config
+from comem.model import CoMemoryModel, tiny_model_config
 from comem.tensor import Tensor
 from oracle_ops import mul
 

@@ -408,7 +408,11 @@ def _mutated_manifest(tmp_path, mutate):
     (lambda m: m["parameters"][2].update(name=["w"]), "name"),
     (lambda m: m["model_config"].update(task="sort"), "model_config"),
     (lambda m: m["model_config"].update(embed_dim=None), "model_config"),
-], ids=["parameters-int", "shape-int", "shape-str", "name-list", "unknown-task", "null-dim"])
+    # JSON true is a Python int equal to 1: [true, 45] has q_gru1.w's 45 elements, and levels: true would load as 1
+    (lambda m: next(e for e in m["parameters"] if e["name"] == "q_gru1.w").update(shape=[True, 45]), "shape"),
+    (lambda m: m["model_config"].update(levels=True), "model_config dimensions must be integers"),
+], ids=["parameters-int", "shape-int", "shape-str", "name-list", "unknown-task", "null-dim", "shape-bool",
+        "bool-dim"])
 def test_checkpoint_manifest_bad_field_is_format_error(tmp_path, mutate, match):
     with pytest.raises(FormatError, match=match):
         load_checkpoint(_mutated_manifest(tmp_path, mutate))
@@ -501,6 +505,20 @@ def test_train_smoke_writes_history_and_checkpoint(tmp_path, data_dir):
     lines = log.read_text().splitlines()
     assert lines[0] == "epoch,train_loss,val_metric,seconds"
     assert len(lines) == 3
+
+
+def test_train_refuses_an_empty_validation_split_before_any_step(tmp_path, monkeypatch):
+    """5 episodes split 4/0/1: there is nothing to pick the kept checkpoint by, so no epoch runs."""
+    generate_dataset(SyntheticSpec(seed=24), 5, tmp_path / "d")
+    assert not Dataset(tmp_path / "d", TaskKind.FRAME_QA).items["val"]
+
+    def step(*args):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(training, "_step_gradients", step)
+    with pytest.raises(DomainError, match="validation split is empty"):
+        train(_cfg("frame", epochs=1), tmp_path / "d", tmp_path / "m.ckpt", dims=TINY_DIMS)
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def test_train_saves_once_per_improved_epoch_and_records_the_whole_history(tmp_path, data_dir, monkeypatch):
