@@ -95,7 +95,6 @@ def _cmd_train(args) -> int:
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _echo_config(str(out) + ".config.json", {"command": "train", "data": str(args.data), "config": cfg.__dict__})
 
     def log(entry):
         print(f"epoch {entry['epoch']}: train_loss={entry['train_loss']:.4f} "
@@ -103,6 +102,7 @@ def _cmd_train(args) -> int:
 
     history = train(cfg, args.data, out, log_fn=log)
     write_metric_log(str(out) + ".metrics.csv", history)
+    _echo_config(str(out) + ".config.json", {"command": "train", "data": str(args.data), "config": cfg.__dict__})
     print(f"checkpoint: {out}")
     return EXIT_OK
 

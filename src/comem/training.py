@@ -127,16 +127,25 @@ def adam_step(params: ParameterStore, state: AdamState, lr: float = 0.001):
 
 
 def save_checkpoint(path, model: CoMemoryModel, train_config: TrainConfig, epoch: int, history: list[dict]):
-    """Manifest JSON at ``path`` plus a float32 blob at ``path + '.bin'``.
+    """Manifest JSON at ``path`` plus a float32 blob beside it.
 
-    Each parameter is written straight to the blob while ``THREADS`` threads
-    hash the parameters; the manifest records each one's sha256.  Both files
-    are written to a temp file and renamed, the blob first.
+    The blob is written straight to whichever of ``<name>.0.bin`` and
+    ``<name>.1.bin`` the current manifest does not name, while ``THREADS``
+    threads hash the parameters; the manifest records each one's sha256.  The
+    manifest's atomic rename is the one commit, so no rename replaces a blob and
+    a save cut short before it leaves the previous checkpoint whole.  Then the
+    superseded blob is deleted if it is one of this checkpoint's own names
+    (``<name>.bin`` being the one older saves wrote).
     """
     path = Path(path)
+    own = [path.name + suffix for suffix in (".0.bin", ".1.bin", ".bin")]
+    try:
+        old = read_json_object(path).get("blob")
+    except FormatError:  # no readable manifest: nothing to supersede
+        old = None
+    blob = path.with_name(own[1] if old == own[0] else own[0])
     entries, digests, offset = [], [], 0
-    blob_tmp = path.with_name(path.name + ".bin.tmp")
-    with ThreadPoolExecutor(THREADS) as pool, open(blob_tmp, "wb") as fh:
+    with ThreadPoolExecutor(THREADS) as pool, open(blob, "wb") as fh:
         for name, t in model.store.items():
             raw = np.ascontiguousarray(t.data, dtype="<f4")
             digests.append(pool.submit(_sha256, raw))
@@ -145,17 +154,18 @@ def save_checkpoint(path, model: CoMemoryModel, train_config: TrainConfig, epoch
             offset += raw.nbytes
     for entry, digest in zip(entries, digests):
         entry["sha256"] = digest.result()
-    os.replace(blob_tmp, path.with_name(path.name + ".bin"))
     _write_manifest(path, {
         "format": CHECKPOINT_FORMAT,
         "model_config": asdict(model.config),
         "train_config": asdict(train_config),
         "epoch": epoch,
         "history": history,
-        "blob": path.name + ".bin",
+        "blob": blob.name,
         "parameters": entries,
         "total_bytes": offset,
     })
+    if old in own:
+        path.with_name(old).unlink(missing_ok=True)
 
 
 def _sha256(array: np.ndarray) -> str:
@@ -184,7 +194,8 @@ def load_checkpoint(path) -> tuple[CoMemoryModel, dict]:
     if not isinstance(blob_name, str) or blob_name in ("", "..") or Path(blob_name).name != blob_name:
         raise FormatError(f"{path}: checkpoint blob {blob_name!r} is not a file name in the manifest's directory")
     blob_path = path.parent / blob_name
-    total = _field(manifest, "total_bytes", path)
+    total = _int_field(manifest, "total_bytes", path)
+    _int_field(manifest, "epoch", path)
     try:
         config = ModelConfig(**_field(manifest, "model_config", path))
         config.task_kind()
@@ -208,12 +219,12 @@ def load_checkpoint(path) -> tuple[CoMemoryModel, dict]:
                         or not all(is_json_int(n) and n >= 0 for n in shape):
                     raise FormatError(f"{path}: parameter {name!r} needs a string name and a list of sizes, "
                                       f"got shape {shape!r}")
-                nbytes = _field(entry, "nbytes", path)
+                nbytes = _int_field(entry, "nbytes", path)
                 expected_sha = _field(entry, "sha256", path)
                 count = math.prod(shape)
                 if nbytes != count * 4:
                     raise FormatError(f"{path}: parameter {name!r} has {nbytes} bytes, expected {count * 4}")
-                if _field(entry, "offset", path) != offset:
+                if _int_field(entry, "offset", path) != offset:
                     raise FormatError(f"{path}: parameter {name!r} does not start at blob byte {offset}")
                 if offset + nbytes > total:
                     raise FormatError(f"{path}: blob ends inside parameter {name!r}")
@@ -240,6 +251,14 @@ def _field(record, key: str, path):
         return record[key]
     except (KeyError, TypeError):
         raise FormatError(f"{path}: checkpoint manifest has no {key!r} field") from None
+
+
+def _int_field(record, key: str, path) -> int:
+    """``_field`` that must hold a JSON integer, not ``true``/``false``."""
+    value = _field(record, key, path)
+    if not is_json_int(value):
+        raise FormatError(f"{path}: checkpoint manifest's {key!r} must be an integer, got {value!r}")
+    return value
 
 
 # -- training ------------------------------------------------------------------

@@ -330,7 +330,8 @@ def test_criterion_09_determinism_and_persistence(tmp_path):
     model, manifest = load_checkpoint(tmp_path / "a.ckpt")
     save_checkpoint(tmp_path / "c.ckpt", model, TrainConfig(**manifest["train_config"]),
                     manifest["epoch"], manifest["history"])
-    assert (tmp_path / "a.ckpt.bin").read_bytes() == (tmp_path / "c.ckpt.bin").read_bytes()
+    blobs = [tmp_path / json.loads((tmp_path / name).read_text())["blob"] for name in ("a.ckpt", "c.ckpt")]
+    assert blobs[0].read_bytes() == blobs[1].read_bytes()
 
     # feature-file round-trip bit-exact
     values = _rng(9).standard_normal((34, 64)).astype(np.float32)

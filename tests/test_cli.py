@@ -86,12 +86,22 @@ def test_gen_refuses_nonempty_dir(tmp_path):
 
 def test_train_writes_checkpoint_metrics_and_config(workspace):
     assert (workspace / "frame.ckpt").exists()
-    assert (workspace / "frame.ckpt.bin").exists()
+    assert (workspace / json.loads((workspace / "frame.ckpt").read_text())["blob"]).exists()
     cfg = json.loads((workspace / "frame.ckpt.config.json").read_text())
     assert cfg["command"] == "train" and cfg["config"]["task"] == "frame"
     lines = (workspace / "frame.ckpt.metrics.csv").read_text().splitlines()
     assert lines[0] == "epoch,train_loss,val_metric,seconds"
     assert len(lines) == 2  # one epoch
+
+
+def test_refused_train_leaves_no_checkpoint_files(tmp_path):
+    """5 episodes leave the validation split empty, so train exits before writing any file of the checkpoint."""
+    r = run_cli("gen", "--out", "d", "--episodes", "5", cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    r = run_cli("train", "--task", "frame", "--data", "d", "--out", "m.ckpt", cwd=tmp_path)
+    assert r.returncode == 2
+    assert "validation split is empty" in r.stderr
+    assert not list(tmp_path.glob("m.ckpt*"))
 
 
 def test_eval_dump_reproduces_reported_metric(workspace):
@@ -125,9 +135,10 @@ def test_eval_corrupt_checkpoint_blob_is_data_error(workspace):
     torn = workspace / "torn"
     torn.mkdir()
     (torn / "frame.ckpt").write_bytes((workspace / "frame.ckpt").read_bytes())
-    raw = bytearray((workspace / "frame.ckpt.bin").read_bytes())
+    blob = json.loads((torn / "frame.ckpt").read_text())["blob"]
+    raw = bytearray((workspace / blob).read_bytes())
     raw[len(raw) // 3] ^= 0x10
-    (torn / "frame.ckpt.bin").write_bytes(bytes(raw))
+    (torn / blob).write_bytes(bytes(raw))
     r = run_cli("eval", "--ckpt", "torn/frame.ckpt", "--data", "data", "--dump", "torn.jsonl", cwd=workspace)
     assert r.returncode == 2
     assert "sha256" in r.stderr

@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import os
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,6 +219,11 @@ def _tiny_model(task="frame", seed=0):
     return CoMemoryModel(cfg, seed=seed)
 
 
+def _blob(path):
+    """The blob file the checkpoint manifest at ``path`` names."""
+    return path.with_name(json.loads(path.read_text())["blob"])
+
+
 def test_checkpoint_round_trip_byte_identical(tmp_path):
     model = _tiny_model(seed=7)
     tc = TrainConfig(task="frame", epochs=1)
@@ -229,7 +236,7 @@ def test_checkpoint_round_trip_byte_identical(tmp_path):
         assert np.array_equal(t1.data, t2.data)
     p2 = tmp_path / "b.ckpt"
     save_checkpoint(p2, loaded, TrainConfig(**manifest["train_config"]), manifest["epoch"], manifest["history"])
-    assert (p1.with_name("a.ckpt.bin")).read_bytes() == (p2.with_name("b.ckpt.bin")).read_bytes()
+    assert _blob(p1).read_bytes() == _blob(p2).read_bytes()
     m1 = json.loads(p1.read_text())
     m2 = json.loads(p2.read_text())
     m1.pop("blob"), m2.pop("blob")
@@ -280,7 +287,7 @@ def test_checkpoint_rejects_v3_format(tmp_path):
     manifest = json.loads(path.read_text())
     for entry in manifest["parameters"]:  # v3 recorded one sha256, of the whole blob
         del entry["sha256"]
-    manifest["sha256"] = hashlib.sha256(path.with_name("c.ckpt.bin").read_bytes()).hexdigest()
+    manifest["sha256"] = hashlib.sha256(_blob(path).read_bytes()).hexdigest()
     manifest["format"] = "comem-checkpoint-v3"
     path.write_text(json.dumps(manifest))
     with pytest.raises(FormatError, match="comem-checkpoint-v3"):
@@ -290,7 +297,7 @@ def test_checkpoint_rejects_v3_format(tmp_path):
 def test_checkpoint_manifest_holds_each_parameter_sha256(tmp_path):
     path = tmp_path / "c.ckpt"
     save_checkpoint(path, _tiny_model(), TrainConfig(task="frame"), 1, [])
-    blob = path.with_name("c.ckpt.bin").read_bytes()
+    blob = _blob(path).read_bytes()
     entries = json.loads(path.read_text())["parameters"]
     assert len(entries) > 1
     for entry in entries:
@@ -301,7 +308,7 @@ def test_checkpoint_manifest_holds_each_parameter_sha256(tmp_path):
 def test_checkpoint_rejects_flipped_blob_byte(tmp_path):
     path = tmp_path / "c.ckpt"
     save_checkpoint(path, _tiny_model(), TrainConfig(task="frame"), 1, [])
-    blob = path.with_name("c.ckpt.bin")
+    blob = _blob(path)
     raw = bytearray(blob.read_bytes())
     flipped = len(raw) // 2
     raw[flipped] ^= 0x01
@@ -335,7 +342,7 @@ def test_checkpoint_blob_must_be_a_file_name_beside_the_manifest(tmp_path):
     save_checkpoint(path, _tiny_model(), TrainConfig(task="frame"), 1, [])
     manifest = json.loads(path.read_text())
     # the first two reach the real blob, by paths that could point anywhere
-    for blob in (str(path.with_name("c.ckpt.bin")), "../ckpt/c.ckpt.bin", "..", ""):
+    for blob in (str(path.with_name(manifest["blob"])), "../ckpt/" + manifest["blob"], "..", ""):
         path.write_text(json.dumps({**manifest, "blob": blob}))
         with pytest.raises(FormatError, match="not a file name"):
             load_checkpoint(path)
@@ -347,7 +354,7 @@ def test_checkpoint_rejects_blob_size_mismatch(tmp_path):
     model = _tiny_model()
     path = tmp_path / "c.ckpt"
     save_checkpoint(path, model, TrainConfig(task="frame"), 1, [])
-    blob = path.with_name("c.ckpt.bin")
+    blob = _blob(path)
     blob.write_bytes(blob.read_bytes()[:-4])
     with pytest.raises(FormatError, match="bytes"):
         load_checkpoint(path)
@@ -356,12 +363,12 @@ def test_checkpoint_rejects_blob_size_mismatch(tmp_path):
 def test_checkpoint_missing_blob_is_format_error(tmp_path):
     path = tmp_path / "c.ckpt"
     save_checkpoint(path, _tiny_model(), TrainConfig(task="frame"), 1, [])
-    path.with_name("c.ckpt.bin").unlink()
+    _blob(path).unlink()
     with pytest.raises(FormatError, match="blob"):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("key", ["total_bytes", "blob", "parameters", "model_config"])
+@pytest.mark.parametrize("key", ["total_bytes", "blob", "parameters", "model_config", "epoch"])
 def test_checkpoint_manifest_missing_key_is_format_error(tmp_path, key):
     path = tmp_path / "c.ckpt"
     save_checkpoint(path, _tiny_model(), TrainConfig(task="frame"), 1, [])
@@ -411,8 +418,13 @@ def _mutated_manifest(tmp_path, mutate):
     # JSON true is a Python int equal to 1: [true, 45] has q_gru1.w's 45 elements, and levels: true would load as 1
     (lambda m: next(e for e in m["parameters"] if e["name"] == "q_gru1.w").update(shape=[True, 45]), "shape"),
     (lambda m: m["model_config"].update(levels=True), "model_config dimensions must be integers"),
+    # false equals the first parameter's offset 0, and epoch is not compared with anything
+    (lambda m: m["parameters"][0].update(offset=False), "'offset' must be an integer"),
+    (lambda m: m["parameters"][2].update(nbytes=True), "'nbytes' must be an integer"),
+    (lambda m: m.update(total_bytes=True), "'total_bytes' must be an integer"),
+    (lambda m: m.update(epoch=True), "'epoch' must be an integer"),
 ], ids=["parameters-int", "shape-int", "shape-str", "name-list", "unknown-task", "null-dim", "shape-bool",
-        "bool-dim"])
+        "bool-dim", "offset-bool", "nbytes-bool", "total-bytes-bool", "epoch-bool"])
 def test_checkpoint_manifest_bad_field_is_format_error(tmp_path, mutate, match):
     with pytest.raises(FormatError, match=match):
         load_checkpoint(_mutated_manifest(tmp_path, mutate))
@@ -425,6 +437,69 @@ def test_checkpoint_parameter_past_the_blob_end_is_format_error(tmp_path):
 
     with pytest.raises(FormatError, match="blob ends inside"):
         load_checkpoint(_mutated_manifest(tmp_path, mutate))
+
+
+def _same_bits(a, b):
+    return [(n, t.data.tobytes()) for n, t in a.store.items()] == [(n, t.data.tobytes()) for n, t in b.store.items()]
+
+
+def test_checkpoint_blob_names_alternate_and_one_blob_stays(tmp_path):
+    path = tmp_path / "c.ckpt"
+    names = []
+    for epoch in (1, 2, 3):
+        save_checkpoint(path, _tiny_model(seed=epoch), TrainConfig(task="frame"), epoch, [])
+        names.append(_blob(path).name)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ckpt", names[-1]]
+    assert names == ["c.ckpt.0.bin", "c.ckpt.1.bin", "c.ckpt.0.bin"]
+    loaded, manifest = load_checkpoint(path)
+    assert manifest["epoch"] == 3 and _same_bits(loaded, _tiny_model(seed=3))
+
+
+def test_save_cut_short_before_the_manifest_commit_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "c.ckpt"
+    first = _tiny_model(seed=1)
+    save_checkpoint(path, first, TrainConfig(task="frame"), 1, [])
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if Path(dst) == path:
+            raise OSError("cut short before the manifest commit")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="cut short"):
+        save_checkpoint(path, _tiny_model(seed=2), TrainConfig(task="frame"), 2, [])
+    monkeypatch.undo()
+    loaded, manifest = load_checkpoint(path)
+    assert manifest["epoch"] == 1 and _same_bits(loaded, first)
+    # the next save writes over the orphan blob and deletes the superseded one
+    save_checkpoint(path, _tiny_model(seed=3), TrainConfig(task="frame"), 3, [])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ckpt", "c.ckpt.1.bin"]
+    assert _same_bits(load_checkpoint(path)[0], _tiny_model(seed=3))
+
+
+def test_first_save_over_an_older_checkpoint_deletes_its_blob(tmp_path):
+    """Older saves kept the blob at ``<name>.bin``; that checkpoint loads, and the next save deletes its blob."""
+    path = tmp_path / "c.ckpt"
+    model = _tiny_model(seed=1)
+    save_checkpoint(path, model, TrainConfig(task="frame"), 1, [])
+    _blob(path).rename(tmp_path / "c.ckpt.bin")
+    path.write_text(json.dumps({**json.loads(path.read_text()), "blob": "c.ckpt.bin"}))
+    assert _same_bits(load_checkpoint(path)[0], model)
+    save_checkpoint(path, model, TrainConfig(task="frame"), 2, [])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ckpt", "c.ckpt.0.bin"]
+
+
+def test_save_never_deletes_a_blob_the_checkpoint_does_not_own(tmp_path):
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, _tiny_model(seed=1), TrainConfig(task="frame"), 1, [])
+    foreign = _blob(path).rename(tmp_path / "d.ckpt.0.bin")  # another checkpoint's own name
+    path.write_text(json.dumps({**json.loads(path.read_text()), "blob": foreign.name}))
+    raw = foreign.read_bytes()
+    load_checkpoint(path)
+    save_checkpoint(path, _tiny_model(seed=2), TrainConfig(task="frame"), 2, [])
+    assert foreign.read_bytes() == raw
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ckpt", "c.ckpt.0.bin", "d.ckpt.0.bin"]
 
 
 # -- metrics / evaluation ----------------------------------------------------------
@@ -547,12 +622,29 @@ def test_train_saves_once_per_improved_epoch_and_records_the_whole_history(tmp_p
     assert manifest["epoch"] == improved[-1]
 
 
+def test_train_never_renames_over_an_existing_blob(tmp_path, data_dir, monkeypatch):
+    """A rename over a written blob made every save wait for the file system; timing-free, none may happen."""
+    renames = []  # (target, whether it existed)
+    for name in ("replace", "rename"):
+        def spy(src, dst, *args, real=getattr(os, name), **kwargs):
+            renames.append((Path(dst), Path(dst).exists()))
+            return real(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(os, name, spy)
+    monkeypatch.setattr(training, "_better", lambda task, a, b: True)  # every epoch saves
+    ckpt = tmp_path / "m.ckpt"
+    train(_cfg("frame", epochs=3), data_dir, ckpt, dims=TINY_DIMS)
+    assert [dst for dst, _ in renames].count(ckpt) == 3
+    assert [dst for dst, existed in renames if existed and dst.suffix == ".bin"] == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt", _blob(ckpt).name]
+
+
 def test_same_seed_gives_identical_loss_curves(tmp_path, data_dir):
     h1 = train(_cfg("frame", seed=5), data_dir, tmp_path / "a.ckpt", dims=TINY_DIMS)
     h2 = train(_cfg("frame", seed=5), data_dir, tmp_path / "b.ckpt", dims=TINY_DIMS)
     assert [h["train_loss"] for h in h1] == [h["train_loss"] for h in h2]
     assert [h["val_metric"] for h in h1] == [h["val_metric"] for h in h2]
-    assert (tmp_path / "a.ckpt.bin").read_bytes() == (tmp_path / "b.ckpt.bin").read_bytes()
+    assert _blob(tmp_path / "a.ckpt").read_bytes() == _blob(tmp_path / "b.ckpt").read_bytes()
 
 
 def test_different_seed_changes_training(tmp_path, data_dir):
