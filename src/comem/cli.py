@@ -15,6 +15,7 @@ from pathlib import Path
 from .data import Dataset, SyntheticSpec, generate_dataset
 from .decoders import TaskKind
 from .errors import ComemError, ConfigError, FormatError, NumericError
+from .model import build_gradcheck_case
 from .tensor import grad_check
 from .training import TrainConfig, evaluate_model, load_checkpoint, train, write_metric_log
 
@@ -50,6 +51,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--actions", type=int, default=8)
     gen.add_argument("--objects", type=int, default=8)
     gen.add_argument("--force", action="store_true")
+    gen.set_defaults(run=_cmd_gen)
 
     tr = sub.add_parser("train", help="train one task")
     tr.add_argument("--task", required=True, choices=[t.value for t in TaskKind])
@@ -61,21 +63,25 @@ def _build_parser() -> _Parser:
     tr.add_argument("--cycles", type=int, default=2)
     tr.add_argument("--levels", type=int, default=3)
     tr.add_argument("--seed", type=int, default=0)
+    tr.set_defaults(run=_cmd_train)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint")
     ev.add_argument("--ckpt", required=True)
     ev.add_argument("--data", required=True)
     ev.add_argument("--dump", required=True, help="per-item predictions (JSON lines)")
     ev.add_argument("--split", default="test", choices=["train", "val", "test"])
+    ev.set_defaults(run=_cmd_eval)
 
     ins = sub.add_parser("inspect", help="export attention maps for one QA item")
     ins.add_argument("--ckpt", required=True)
     ins.add_argument("--data", required=True)
     ins.add_argument("--id", required=True, dest="qa_id")
     ins.add_argument("--out", required=True)
+    ins.set_defaults(run=_cmd_inspect)
 
     gc = sub.add_parser("gradcheck", help="finite-difference check of the full model")
     gc.add_argument("--seed", type=int, default=0)
+    gc.set_defaults(run=_cmd_gradcheck)
     return parser
 
 
@@ -127,12 +133,7 @@ def _cmd_inspect(args) -> int:
     model, _ = load_checkpoint(args.ckpt)
     task = model.config.task_kind()
     dataset = Dataset(args.data, task)
-    item = None
-    for split_items in dataset.items.values():
-        for it in split_items:
-            if it.id == args.qa_id:
-                item = it
-                break
+    item = next((it for items in dataset.items.values() for it in items if it.id == args.qa_id), None)
     if item is None:
         raise FormatError(f"QA id {args.qa_id!r} not found in {args.data} for task {task.value!r}")
     fa, fb = dataset.features(item.video)
@@ -150,8 +151,6 @@ def _cmd_inspect(args) -> int:
 
 def full_model_gradcheck(seed: int = 0) -> float:
     """Finite-difference check of the tiny model across all four task losses; returns max error."""
-    from .verification import build_gradcheck_case
-
     worst = 0.0
     for task in TaskKind:
         f, tensors = build_gradcheck_case(task.value, seed=seed)
@@ -172,15 +171,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    handlers = {
-        "gen": _cmd_gen,
-        "train": _cmd_train,
-        "eval": _cmd_eval,
-        "inspect": _cmd_inspect,
-        "gradcheck": _cmd_gradcheck,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -302,17 +302,15 @@ def _make_items(spec, runs, index, rng, vocab: dict[str, int]) -> Optional[list[
         answer=min(COUNT_MAX, counts[x]),
     ))
 
-    # action: which action occurs exactly k times (count must be unambiguous)
+    # action: which action occurs exactly k times (count must be unambiguous); every
+    # other action, absent ones counting 0, occurs some other number of times
     multiplicity = Counter(counts.values())
     unique = [a for a, c in counts.items() if multiplicity[c] == 1 and c <= COUNT_MAX]
     if not unique:
         return None
     x = unique[int(rng.integers(0, len(unique)))]
     k = counts[x]
-    pool = [a for a in range(spec.actions) if counts[a] != k]
-    if len(pool) < NUM_CHOICES - 1:
-        return None
-    cands, slot = mc_candidates(action(x), pool)
+    cands, slot = mc_candidates(action(x), [a for a in range(spec.actions) if a != x])
     items.append(QAItem(
         id=f"e{index:06d}_action", task=TaskKind.REPEATING_ACTION, video=video,
         question=ids("which", "action", "occurs", "exactly", f"num_{k}", "times"),
@@ -336,18 +334,13 @@ def _make_items(spec, runs, index, rng, vocab: dict[str, int]) -> Optional[list[
             answer=slot, candidates=cands,
         ))
 
-    # frame: which object performs action X (X must bind a single object)
-    by_action: dict[int, set[int]] = {}
-    for a, obj, _ in runs:
-        by_action.setdefault(a, set()).add(obj)
-    unambiguous = sorted(a for a, objs in by_action.items() if len(objs) == 1)
-    if not unambiguous:
-        return None
-    x = unambiguous[int(rng.integers(0, len(unambiguous)))]
+    # frame: which object performs action X (_draw_runs gives each action one performer)
+    performer = {a: obj for a, obj, _ in runs}
+    x = sorted(performer)[int(rng.integers(0, len(performer)))]
     items.append(QAItem(
         id=f"e{index:06d}_frame", task=TaskKind.FRAME_QA, video=video,
         question=ids("which", "object", "performs") + [action(x)],
-        answer=int(next(iter(by_action[x]))),
+        answer=performer[x],
     ))
     return items
 
@@ -470,7 +463,7 @@ class Dataset:
         dims = [spec.get(key) for key in ("length", "d_a", "d_b")] if isinstance(spec, dict) else []
         if len(dims) != 3 or not all(is_json_int(n) for n in dims):
             raise FormatError(f"{self.root / 'manifest.json'}: spec needs integer length, d_a and d_b")
-        self._feature_shapes = ((dims[0], dims[1]), (dims[0], dims[2]))  # appearance, motion
+        self.feature_shapes = ((dims[0], dims[1]), (dims[0], dims[2]))  # appearance, motion
         self.items: dict[str, list[QAItem]] = {
             split: load_qa_file(self.root / "qa" / f"{task.value}_{split}.jsonl", self.vocab_size, self.answer_vocab)
             for split in SPLITS
@@ -490,7 +483,7 @@ class Dataset:
         cached = self._features.get(video)
         if cached is None:
             cached = []
-            for suffix, shape in zip("ab", self._feature_shapes):
+            for suffix, shape in zip("ab", self.feature_shapes):
                 path = self.root / "features" / f"{video}_{suffix}.cmf"
                 values = read_feature_file(path).values
                 if values.shape != shape:

@@ -34,34 +34,31 @@ class TaskKind(str, Enum):
 
 @dataclass
 class DecoderParams:
-    """W_m (choice score), W_n + b (count), W_w + bias (word classifier)."""
+    """The head's read-out ``m_h @ w + b``: one column for a choice score (no bias) or a count, one per answer word."""
 
-    w_m: Tensor | None = None
-    w_n: Tensor | None = None
-    b_n: Tensor | None = None
-    w_w: Tensor | None = None
-    b_w: Tensor | None = None
+    w: Tensor
+    b: Tensor | None = None
 
     @staticmethod
     def create(store: ParameterStore, prefix: str, memory_dim: int, task: TaskKind, answer_vocab: int = 0) -> "DecoderParams":
-        p = DecoderParams()
         if task.is_multiple_choice:
-            p.w_m = store.add(f"{prefix}.w_m", (memory_dim, 1))
-        elif task is TaskKind.REPETITION_COUNT:
-            p.w_n = store.add(f"{prefix}.w_n", (memory_dim, 1))
-            p.b_n = store.add(f"{prefix}.b_n", (1,))
-        else:
-            if answer_vocab < 1:
-                raise DomainError("word classifier needs a positive answer vocabulary size")
-            p.w_w = store.add(f"{prefix}.w_w", (memory_dim, answer_vocab))
-            p.b_w = store.add(f"{prefix}.b_w", (answer_vocab,))
-        return p
+            return DecoderParams(store.add(f"{prefix}.w_m", (memory_dim, 1)))
+        if task is TaskKind.REPETITION_COUNT:
+            return DecoderParams(store.add(f"{prefix}.w_n", (memory_dim, 1)), store.add(f"{prefix}.b_n", (1,)))
+        if answer_vocab < 1:
+            raise DomainError("word classifier needs a positive answer vocabulary size")
+        return DecoderParams(store.add(f"{prefix}.w_w", (memory_dim, answer_vocab)),
+                             store.add(f"{prefix}.b_w", (answer_vocab,)))
 
 
 def score_choice(m_h: Tensor, p: DecoderParams) -> Tensor:
-    """Real-valued candidate score ``W_m . m_h`` (scalar per row)."""
-    s = T.matmul(m_h, p.w_m)
+    """One scalar per row, ``m_h . w + b``: a candidate's score ``W_m . m_h`` or the unrounded count ``W_n . m_h + b``."""
+    s = T.matmul(m_h, p.w, p.b)
     return T.reshape(s, s.data.shape[:-1])
+
+
+# the count's training estimate is the same read-out as a choice score
+count_regression = score_choice
 
 
 def hinge_loss(s_p: Tensor, s_n: Sequence[Tensor]) -> Tensor:
@@ -73,12 +70,6 @@ def hinge_loss(s_p: Tensor, s_n: Sequence[Tensor]) -> Tensor:
     for t in terms[1:]:
         total = total + t
     return T.scale(total, 1.0 / len(s_n))
-
-
-def count_regression(m_h: Tensor, p: DecoderParams) -> Tensor:
-    """Unrounded count estimate ``W_n . m_h + b`` used by the training loss."""
-    r = T.matmul(m_h, p.w_n, p.b_n)
-    return T.reshape(r, r.data.shape[:-1])
 
 
 def round_count(r):
@@ -102,7 +93,7 @@ def l2_count_loss(r: Tensor, y) -> Tensor:
 
 
 def word_logits(m_h: Tensor, p: DecoderParams) -> Tensor:
-    return T.matmul(m_h, p.w_w, p.b_w)
+    return T.matmul(m_h, p.w, p.b)
 
 
 def classify_word(m_h: Tensor, p: DecoderParams) -> Tensor:
@@ -137,11 +128,9 @@ def num_answers(task: TaskKind, answer_vocab: int | None = None) -> int | None:
 
 def head(task: TaskKind, m_h: Tensor, p: DecoderParams) -> Tensor:
     """The task's raw output: choice scores, unrounded counts or word logits."""
-    if task.is_multiple_choice:
-        return score_choice(m_h, p)
-    if task is TaskKind.REPETITION_COUNT:
-        return count_regression(m_h, p)
-    return word_logits(m_h, p)
+    if task is TaskKind.FRAME_QA:
+        return word_logits(m_h, p)
+    return score_choice(m_h, p)
 
 
 def task_loss(task: TaskKind, out: Tensor, answers) -> Tensor:

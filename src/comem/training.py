@@ -265,20 +265,18 @@ def _int_field(record, key: str, path) -> int:
 
 
 def model_config_for(dataset: Dataset, cfg: TrainConfig, dims: Optional[dict] = None) -> ModelConfig:
-    sample = dataset.features(dataset.items["train"][0].video) if dataset.items["train"] else None
-    if sample is None:
-        raise DomainError("training split is empty")
-    overrides = dims or {}
+    """The model for ``cfg`` on ``dataset``: feature widths and length from its manifest's spec, ``dims`` overriding."""
+    (length, width_a), (_, width_b) = dataset.feature_shapes
     return ModelConfig(
         task=cfg.task,
         vocab_size=dataset.vocab_size,
-        input_width_a=sample[0].shape[1],
-        input_width_b=sample[1].shape[1],
+        input_width_a=width_a,
+        input_width_b=width_b,
         answer_vocab=dataset.answer_vocab,
-        resolution=sample[0].shape[0],
+        resolution=length,
         levels=cfg.levels,
         cycles=cfg.cycles,
-        **overrides,
+        **(dims or {}),
     )
 
 
@@ -355,6 +353,8 @@ def train(
     """
     task = TaskKind(cfg.task)
     dataset = Dataset(data_dir, task)
+    if not dataset.items["train"]:
+        raise DomainError("training split is empty")
     if not dataset.items["val"]:
         raise DomainError("validation split is empty: the best-validation checkpoint needs val items")
     model_cfg = model_config_for(dataset, cfg, dims)

@@ -254,9 +254,10 @@ def test_gradcheck_detects_corrupted_gradients(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("args", [
     ("gen", "--out", "d", "--episodes", "-5"),
+    ("gen", "--out", "d", "--episodes", "2", "--actions", "4"),
     ("train", "--task", "frame", "--data", "d", "--out", "o.ckpt", "--seed", "-1"),
     ("gradcheck", "--seed", "-1"),
-], ids=["gen-episodes", "train-seed", "gradcheck-seed"])
+], ids=["gen-episodes", "gen-actions", "train-seed", "gradcheck-seed"])
 def test_out_of_range_values_are_data_errors_that_write_nothing(tmp_path, args):
     r = run_cli(*args, cwd=tmp_path)
     assert r.returncode == 2

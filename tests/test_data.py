@@ -193,6 +193,13 @@ def test_qa_rejects_invalid_json_with_line_number(tmp_path):
         load_qa_file(path)
 
 
+def test_qa_line_that_is_not_json_is_format_error(tmp_path):
+    path = _write_lines(tmp_path, [_good_mc()])
+    path.write_text(path.read_text(encoding="utf-8") + "{broken\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="line 2: invalid JSON"):
+        load_qa_file(path)
+
+
 # -- generator -------------------------------------------------------------------
 
 
@@ -233,17 +240,50 @@ def _tree_sha256(root: Path) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("spec, episodes, sha256", [
+PINNED = [
     (SyntheticSpec(seed=1), 200, "5da71ef961502d78caafea8b25b355e70c2187d646d01df81c09fd3ea530be57"),
     (SyntheticSpec(seed=7, length=20, actions=6, objects=5), 40,
      "595ef539bf78831fc57bc650731651735e3f9cf030d8f7cd07764306fd2ae379"),
-], ids=["default-seed1", "short-seed7"])
+]
+PINNED_IDS = ["default-seed1", "short-seed7"]
+
+
+@pytest.mark.parametrize("spec, episodes, sha256", PINNED, ids=PINNED_IDS)
 def test_generator_output_is_pinned(tmp_path, spec, episodes, sha256):
     """Every file the generator writes, byte for byte: a change that moves a draw, a format or the
     vocabulary changes this hash.  Feature files, traces and QA splits all feed the criterion-7
     data and the benchmark digests, so a new hash is a new dataset."""
     generate_dataset(spec, episodes, tmp_path / "d")
     assert _tree_sha256(tmp_path / "d") == sha256
+
+
+@pytest.mark.parametrize("spec, episodes", [pinned[:2] for pinned in PINNED], ids=PINNED_IDS)
+def test_generator_draws_one_performer_per_action_and_distinct_distractors(tmp_path, spec, episodes):
+    """The frame and action questions take these draws of ``_draw_runs`` on trust: each action
+    has one object per episode, and an action question's four distractors are distinct actions
+    other than its answer."""
+    out = tmp_path / "d"
+    generate_dataset(spec, episodes, out)
+    performers = {}
+    for line in (out / "traces.jsonl").read_text(encoding="utf-8").splitlines():
+        trace = json.loads(line)
+        objects = {}
+        for a, obj, _ in trace["runs"]:
+            objects.setdefault(a, set()).add(obj)
+        assert all(len(objs) == 1 for objs in objects.values()), trace
+        performers[trace["video"]] = {a: objs.pop() for a, objs in objects.items()}
+    inv = {v: k for k, v in build_vocabulary(spec).items()}
+    frame = action = 0
+    for split in ("train", "val", "test"):
+        for item in load_qa_file(out / "qa" / f"frame_{split}.jsonl"):
+            assert item.answer == performers[item.video][int(inv[item.question[-1]].split("_")[1])]
+            frame += 1
+        for item in load_qa_file(out / "qa" / f"action_{split}.jsonl"):
+            truth = item.candidates[item.answer]
+            distractors = {tuple(c) for j, c in enumerate(item.candidates) if j != item.answer}
+            assert len(distractors) == NUM_CHOICES - 1 and tuple(truth) not in distractors
+            action += 1
+    assert frame == action == episodes  # every episode asks both
 
 
 def test_importing_data_loads_no_model_module():
@@ -323,6 +363,27 @@ def test_answers_and_candidates_in_range(tmp_path):
                     assert 0 <= item.answer <= COUNT_MAX
                 else:
                     assert 0 <= item.answer < spec.objects
+
+
+@pytest.mark.parametrize("fields, match", [
+    (dict(actions=4), "at least 5 actions"),
+    (dict(objects=4), "at least 5 actions"),
+    (dict(run_len_min=0), "run lengths"),
+    (dict(run_len_min=3, run_len_max=2), "run lengths"),
+    (dict(active_min=0), "active action range"),
+    (dict(active_min=3, active_max=2), "active action range"),
+    (dict(actions=5, active_max=6), "active action range"),
+    (dict(length=0), "length must be positive"),
+], ids=["actions", "objects", "run-min", "run-order", "active-min", "active-order", "active-max", "length"])
+def test_synthetic_spec_refuses_an_impossible_episode(fields, match):
+    with pytest.raises(DomainError, match=match):
+        SyntheticSpec(**fields)
+
+
+def test_generate_refuses_zero_episodes(tmp_path):
+    with pytest.raises(DomainError, match="episodes must be positive"):
+        generate_dataset(SyntheticSpec(), 0, tmp_path / "d")
+    assert not (tmp_path / "d").exists()
 
 
 def test_split_sizes():

@@ -43,7 +43,7 @@ def _params(task, memory_dim=6, answer_vocab=0, seed=0):
 
 def test_score_choice_zero_weight_is_zero():
     p, _ = _params(TaskKind.REPEATING_ACTION)
-    p.w_m.data[...] = 0.0
+    p.w.data[...] = 0.0
     s = score_choice(Tensor(_rng(0).standard_normal(6)), p)
     assert s.data.shape == ()
     assert s.data == 0.0
@@ -51,8 +51,8 @@ def test_score_choice_zero_weight_is_zero():
 
 def test_score_choice_unit_weight_picks_coordinate():
     p, _ = _params(TaskKind.STATE_TRANSITION)
-    p.w_m.data[...] = 0.0
-    p.w_m.data[2, 0] = 1.0
+    p.w.data[...] = 0.0
+    p.w.data[2, 0] = 1.0
     m_h = np.array([1.0, 2.0, -3.5, 4.0, 5.0, 6.0])
     assert score_choice(Tensor(m_h), p).data == -3.5
 
@@ -62,7 +62,7 @@ def test_score_choice_matches_dot_product():
     m_h = _rng(1).standard_normal((3, 6))
     s = score_choice(Tensor(m_h), p)
     assert s.data.shape == (3,)
-    assert np.allclose(s.data, m_h @ p.w_m.data[:, 0], atol=1e-12)
+    assert np.allclose(s.data, m_h @ p.w.data[:, 0], atol=1e-12)
 
 
 def test_score_choice_is_linear_in_memory():
@@ -122,22 +122,22 @@ def test_count_regression_is_affine():
     m_h = _rng(4).standard_normal((2, 6))
     r = count_regression(Tensor(m_h), p)
     assert r.data.shape == (2,)
-    assert np.allclose(r.data, m_h @ p.w_n.data[:, 0] + p.b_n.data[0], atol=1e-12)
+    assert np.allclose(r.data, m_h @ p.w.data[:, 0] + p.b.data[0], atol=1e-12)
 
 
 def test_predict_count_rounds_half_up_and_clamps():
     p, _ = _params(TaskKind.REPETITION_COUNT)
-    p.w_n.data[...] = 0.0
+    p.w.data[...] = 0.0
     for raw, expected in [(-3.0, 0), (-0.2, 0), (0.49, 0), (0.5, 1), (2.5, 3),
                           (3.49, 3), (9.5, 10), (14.2, 10)]:
-        p.b_n.data[0] = raw
+        p.b.data[0] = raw
         assert predict_count(Tensor(np.zeros(6)), p) == expected
 
 
 def test_predict_count_batched():
     p, _ = _params(TaskKind.REPETITION_COUNT)
-    p.w_n.data[...] = 0.0
-    p.w_n.data[0, 0] = 1.0
+    p.w.data[...] = 0.0
+    p.w.data[0, 0] = 1.0
     m_h = np.zeros((3, 6))
     m_h[:, 0] = [-1.0, 4.6, 99.0]
     out = predict_count(Tensor(m_h), p)
@@ -158,7 +158,7 @@ def test_l2_count_loss_cases():
 
 def test_classify_word_zero_params_is_uniform():
     p, _ = _params(TaskKind.FRAME_QA, answer_vocab=8)
-    p.w_w.data[...] = 0.0
+    p.w.data[...] = 0.0
     probs = classify_word(Tensor(_rng(5).standard_normal(6)), p)
     assert np.allclose(probs.data, 1 / 8, atol=1e-12)
 
@@ -174,7 +174,7 @@ def test_classify_word_sums_to_one():
 def test_classify_word_closed_form():
     p, _ = _params(TaskKind.FRAME_QA, answer_vocab=5, seed=7)
     m_h = _rng(7).standard_normal(6)
-    logits = m_h @ p.w_w.data + p.b_w.data
+    logits = m_h @ p.w.data + p.b.data
     e = np.exp(logits - logits.max())
     assert np.allclose(classify_word(Tensor(m_h), p).data, e / e.sum(), atol=1e-12)
 
@@ -183,7 +183,7 @@ def test_predict_word_is_shift_invariant():
     p, _ = _params(TaskKind.FRAME_QA, answer_vocab=7, seed=8)
     m_h = Tensor(_rng(8).standard_normal(6))
     before = predict_word(m_h, p)
-    p.b_w.data[...] += 100.0  # uniform logit shift cannot move the argmax
+    p.b.data[...] += 100.0  # uniform logit shift cannot move the argmax
     assert predict_word(m_h, p) == before
 
 
@@ -262,7 +262,7 @@ def test_choice_prediction_invariant_to_positive_weight_scaling():
     p, _ = _params(TaskKind.REPEATING_ACTION, seed=10)
     cands = _rng(10).standard_normal((5, 6))
     before = int(np.argmax(score_choice(Tensor(cands), p).data))
-    p.w_m.data[...] *= 7.0
+    p.w.data[...] *= 7.0
     assert int(np.argmax(score_choice(Tensor(cands), p).data)) == before
 
 

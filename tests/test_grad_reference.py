@@ -33,7 +33,7 @@ def _environment() -> str:
 
 def _case(task: str, seed: int) -> dict:
     """Loss and leaf gradients of one backward pass, keyed ``task/seed/...``."""
-    from comem.verification import build_gradcheck_case
+    from comem.model import build_gradcheck_case
 
     f, tensors = build_gradcheck_case(task, seed=seed)
     loss = f()

@@ -168,7 +168,7 @@ def test_cross_modal_weights_get_real_gradients(task):
 
 @pytest.mark.parametrize("task", [t.value for t in D.TaskKind])
 def test_every_parameter_is_read_by_the_forward_pass(task):
-    from comem.verification import build_gradcheck_case
+    from comem.model import build_gradcheck_case
 
     f, params = build_gradcheck_case(task)
     f().backward()
@@ -186,7 +186,7 @@ def test_every_parameter_gradient_is_c_contiguous(task):
 
 
 def test_gradcheck_cases_differ_per_task():
-    from comem.verification import build_gradcheck_case
+    from comem.model import build_gradcheck_case
 
     losses = {float(build_gradcheck_case(task.value)[0]().data) for task in D.TaskKind}
     assert len(losses) == len(D.TaskKind)

@@ -48,7 +48,7 @@ def _model(ds, task):
     cfg = model_config_for(ds, TrainConfig(task=task.value, levels=2), dims=TINY_DIMS)
     model = CoMemoryModel(cfg, seed=4, dtype=np.float64)
     if task is TaskKind.REPETITION_COUNT:
-        model.decoder.b_n.data[...] = 5.5  # estimates at a rounding boundary, so the counts vary by item
+        model.decoder.b.data[...] = 5.5  # estimates at a rounding boundary, so the counts vary by item
     return model
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import comem.data
 from comem.data import Dataset, SyntheticSpec, generate_dataset
 from comem.decoders import TaskKind
 from comem.errors import ConfigError, DomainError, FormatError, NumericError
@@ -423,8 +424,10 @@ def _mutated_manifest(tmp_path, mutate):
     (lambda m: m["parameters"][2].update(nbytes=True), "'nbytes' must be an integer"),
     (lambda m: m.update(total_bytes=True), "'total_bytes' must be an integer"),
     (lambda m: m.update(epoch=True), "'epoch' must be an integer"),
+    # every entry is well formed, but the blob holds bytes no parameter claims
+    (lambda m: m["parameters"].pop(), "parameters cover"),
 ], ids=["parameters-int", "shape-int", "shape-str", "name-list", "unknown-task", "null-dim", "shape-bool",
-        "bool-dim", "offset-bool", "nbytes-bool", "total-bytes-bool", "epoch-bool"])
+        "bool-dim", "offset-bool", "nbytes-bool", "total-bytes-bool", "epoch-bool", "parameters-short"])
 def test_checkpoint_manifest_bad_field_is_format_error(tmp_path, mutate, match):
     with pytest.raises(FormatError, match=match):
         load_checkpoint(_mutated_manifest(tmp_path, mutate))
@@ -540,6 +543,24 @@ def test_model_config_reads_dataset_dimensions(data_dir):
     assert cfg.levels == 2
 
 
+def test_model_config_reads_no_feature_file(data_dir, monkeypatch):
+    """The widths and the length come from the manifest's spec, which ``Dataset.features`` checks each file against."""
+    def read(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(comem.data, "read_feature_file", read)
+    cfg = model_config_for(Dataset(data_dir, TaskKind.FRAME_QA), _cfg("frame"), dims=TINY_DIMS)
+    assert (cfg.input_width_a, cfg.input_width_b, cfg.resolution) == (64, 64, 34)
+
+
+def test_evaluate_refuses_an_empty_split(tmp_path):
+    generate_dataset(SyntheticSpec(seed=24), 5, tmp_path / "d")
+    ds = Dataset(tmp_path / "d", TaskKind.FRAME_QA)
+    model = CoMemoryModel(model_config_for(ds, _cfg("frame"), dims=TINY_DIMS), seed=0)
+    with pytest.raises(DomainError, match="split 'val' is empty"):
+        evaluate_model(model, ds, split="val")
+
+
 def test_recorded_resolution_is_the_feature_length(tmp_path):
     generate_dataset(SyntheticSpec(seed=22, length=20), 12, tmp_path / "d")
     ds = Dataset(tmp_path / "d", TaskKind.FRAME_QA)
@@ -582,18 +603,29 @@ def test_train_smoke_writes_history_and_checkpoint(tmp_path, data_dir):
     assert len(lines) == 3
 
 
-def test_train_refuses_an_empty_validation_split_before_any_step(tmp_path, monkeypatch):
-    """5 episodes split 4/0/1: there is nothing to pick the kept checkpoint by, so no epoch runs."""
-    generate_dataset(SyntheticSpec(seed=24), 5, tmp_path / "d")
-    assert not Dataset(tmp_path / "d", TaskKind.FRAME_QA).items["val"]
-
+def _refuse_before_any_step(tmp_path, monkeypatch, match: str):
+    """``train`` on the set at ``tmp_path / "d"`` raises ``DomainError`` before a step or a save."""
     def step(*args):
         raise AssertionError("a training step ran")
 
     monkeypatch.setattr(training, "_step_gradients", step)
-    with pytest.raises(DomainError, match="validation split is empty"):
+    with pytest.raises(DomainError, match=match):
         train(_cfg("frame", epochs=1), tmp_path / "d", tmp_path / "m.ckpt", dims=TINY_DIMS)
     assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_train_refuses_an_empty_validation_split_before_any_step(tmp_path, monkeypatch):
+    """5 episodes split 4/0/1: there is nothing to pick the kept checkpoint by, so no epoch runs."""
+    generate_dataset(SyntheticSpec(seed=24), 5, tmp_path / "d")
+    assert not Dataset(tmp_path / "d", TaskKind.FRAME_QA).items["val"]
+    _refuse_before_any_step(tmp_path, monkeypatch, "validation split is empty")
+
+
+def test_train_refuses_an_empty_training_split_before_any_step(tmp_path, monkeypatch):
+    """1 episode splits 0/0/1: there is nothing to train on."""
+    generate_dataset(SyntheticSpec(seed=24), 1, tmp_path / "d")
+    assert not Dataset(tmp_path / "d", TaskKind.FRAME_QA).items["train"]
+    _refuse_before_any_step(tmp_path, monkeypatch, "training split is empty")
 
 
 def test_train_saves_once_per_improved_epoch_and_records_the_whole_history(tmp_path, data_dir, monkeypatch):
