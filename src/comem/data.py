@@ -497,6 +497,5 @@ class Dataset:
         feats = [self.features(i.video) for i in items]
         batch = make_batch([f[0] for f in feats], [f[1] for f in feats], [i.question for i in items],
                            [i.candidates for i in items] if self.task.is_multiple_choice else None)
-        batch["ids"] = [i.id for i in items]
         batch["answers"] = np.asarray([i.answer for i in items], dtype=np.int64)
         return batch

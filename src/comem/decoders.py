@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -30,6 +29,16 @@ class TaskKind(str, Enum):
     @property
     def metric_name(self) -> str:
         return "MSE" if self is TaskKind.REPETITION_COUNT else "ACC"
+
+    def metric(self, preds, golds) -> float:
+        """The ``metric_name`` of integer predictions against integer answers."""
+        if self is TaskKind.REPETITION_COUNT:
+            return float(np.mean((np.asarray(preds, np.float64) - np.asarray(golds, np.float64)) ** 2))
+        return float(np.mean(np.asarray(preds) == np.asarray(golds)))
+
+    def better(self, a: float, b: float) -> bool:
+        """Whether metric ``a`` beats ``b``: a lower MSE or a higher ACC."""
+        return a < b if self is TaskKind.REPETITION_COUNT else a > b
 
 
 @dataclass
@@ -61,15 +70,16 @@ def score_choice(m_h: Tensor, p: DecoderParams) -> Tensor:
 count_regression = score_choice
 
 
-def hinge_loss(s_p: Tensor, s_n: Sequence[Tensor]) -> Tensor:
-    """Mean over incorrect candidates of ``max(0, 1 + s_n - s_p)``."""
-    if len(s_n) == 0:
+def hinge_loss(scores: Tensor, answers) -> Tensor:
+    """Mean over the wrong slots of ``max(0, 1 + s_wrong - s_answer)``, for scores (..., K) and answers (...)."""
+    answers = np.asarray(answers)
+    slots = np.arange(scores.data.shape[-1] - 1)
+    if slots.size == 0:
         raise DomainError("hinge_loss: need at least one incorrect-candidate score")
-    terms = [T.relu(1.0 + sn - s_p) for sn in s_n]
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return T.scale(total, 1.0 / len(s_n))
+    rows = [r[..., None] for r in np.indices(answers.shape, sparse=True)]
+    wrong = T.take(scores, (*rows, slots + (slots >= answers[..., None])))  # every slot but the answer
+    right = T.take(scores, (*rows, answers[..., None]))
+    return T.tmean(T.relu(1.0 + wrong - right), axis=-1)
 
 
 def round_count(r):
@@ -136,15 +146,11 @@ def head(task: TaskKind, m_h: Tensor, p: DecoderParams) -> Tensor:
 def task_loss(task: TaskKind, out: Tensor, answers) -> Tensor:
     """Per-item loss of ``head``'s output ``out`` (B, ...) against integer answers (B,).
 
-    Multiple choice: ``hinge_loss`` of the correct score against the K-1
-    wrong ones; count: ``l2_count_loss``; word: ``cross_entropy_loss``.
+    Multiple choice: ``hinge_loss``; count: ``l2_count_loss``; word:
+    ``cross_entropy_loss``.
     """
-    answers = np.asarray(answers)
     if task.is_multiple_choice:
-        slots = np.arange(out.data.shape[-1] - 1)
-        wrong = slots + (slots >= answers[:, None])  # (B, K-1): every slot but the answer
-        rows = np.indices(answers.shape, sparse=True)
-        return hinge_loss(T.take(out, (*rows, answers)), [T.take(out, (*rows, w)) for w in wrong.T])
+        return hinge_loss(out, answers)
     if task is TaskKind.REPETITION_COUNT:
         return l2_count_loss(out, answers)
     return cross_entropy_loss(out, answers)

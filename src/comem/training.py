@@ -280,16 +280,6 @@ def model_config_for(dataset: Dataset, cfg: TrainConfig, dims: Optional[dict] = 
     )
 
 
-def _metric_from_preds(task: TaskKind, preds: np.ndarray, golds: np.ndarray) -> float:
-    if task is TaskKind.REPETITION_COUNT:
-        return float(np.mean((preds.astype(np.float64) - golds.astype(np.float64)) ** 2))
-    return float(np.mean(preds == golds))
-
-
-def _better(task: TaskKind, a: float, b: float) -> bool:
-    return a < b if task is TaskKind.REPETITION_COUNT else a > b
-
-
 # items per forward pass in training and evaluation (a multiple-choice item runs one
 # episode row per candidate); results depend on it only through float summation order
 ITEMS_PER_PASS = 64
@@ -303,16 +293,11 @@ def evaluate_model(model: CoMemoryModel, dataset: Dataset, split: str = "test"):
     items = dataset.items[split]
     if not items:
         raise DomainError(f"split {split!r} is empty")
-    preds, golds, ids = [], [], []
-    for start in range(0, len(items), ITEMS_PER_PASS):
-        batch = dataset.batch(items[start : start + ITEMS_PER_PASS])
-        p = model.predict(batch)
-        preds.extend(int(x) for x in p)
-        golds.extend(int(a) for a in batch["answers"])
-        ids.extend(batch["ids"])
-    metric = _metric_from_preds(task, np.asarray(preds), np.asarray(golds))
-    dump = [{"id": i, "pred": p, "gold": g} for i, p, g in zip(ids, preds, golds)]
-    return metric, dump
+    preds = np.concatenate([model.predict(dataset.batch(items[start : start + ITEMS_PER_PASS]))
+                            for start in range(0, len(items), ITEMS_PER_PASS)])
+    golds = [item.answer for item in items]
+    dump = [{"id": item.id, "pred": int(p), "gold": item.answer} for item, p in zip(items, preds)]
+    return task.metric(preds, golds), dump
 
 
 def evaluate(checkpoint_path, data_dir, split: str = "test"):
@@ -383,7 +368,7 @@ def train(
         history.append(entry)
         if log_fn:
             log_fn(entry)
-        if best is None or _better(task, val_metric, best):
+        if best is None or task.better(val_metric, best):
             best = val_metric
             save_checkpoint(checkpoint_path, model, cfg, epoch, history)
     # Verify the best checkpoint by reloading it, with the training weights and

@@ -77,21 +77,20 @@ def test_score_choice_is_linear_in_memory():
 
 
 def test_hinge_hand_cases():
-    s_p = Tensor(np.array(2.0))
     # margins violated by 0.3 and satisfied with slack: relu(1 + 1.3 - 2) = 0.3
-    loss = hinge_loss(s_p, [Tensor(np.array(1.3)), Tensor(np.array(-1.0))])
+    loss = hinge_loss(Tensor(np.array([2.0, 1.3, -1.0])), 0)
     assert np.allclose(loss.data, 0.15, atol=1e-12)
     # exactly at the margin contributes zero
-    loss = hinge_loss(s_p, [Tensor(np.array(1.0))])
+    loss = hinge_loss(Tensor(np.array([2.0, 1.0])), 0)
     assert loss.data == 0.0
     # fully violated: relu(1 + 2.5 - 2) = 1.5
-    loss = hinge_loss(s_p, [Tensor(np.array(2.5))])
+    loss = hinge_loss(Tensor(np.array([2.0, 2.5])), 0)
     assert np.allclose(loss.data, 1.5, atol=1e-12)
 
 
 def test_hinge_requires_negatives():
     with pytest.raises(DomainError):
-        hinge_loss(Tensor(np.array(1.0)), [])
+        hinge_loss(Tensor(np.array([1.0])), 0)
 
 
 def test_hinge_nonnegative_and_zero_iff_margins_met():
@@ -99,7 +98,7 @@ def test_hinge_nonnegative_and_zero_iff_margins_met():
     for _ in range(200):
         s_p = float(rng.normal())
         s_n = rng.normal(size=4)
-        loss = float(hinge_loss(Tensor(np.array(s_p)), [Tensor(np.array(v)) for v in s_n]).data)
+        loss = float(hinge_loss(Tensor(np.concatenate([[s_p], s_n])), 0).data)
         assert loss >= 0.0
         if (s_p - s_n).min() >= 1.0:
             assert loss == 0.0
@@ -108,10 +107,9 @@ def test_hinge_nonnegative_and_zero_iff_margins_met():
 
 
 def test_hinge_gradient_pushes_scores_apart():
-    s_p = Tensor(np.array(0.0), requires_grad=True)
-    s_n = Tensor(np.array(0.5), requires_grad=True)
-    hinge_loss(s_p, [s_n]).backward()
-    assert s_p.grad < 0.0 and s_n.grad > 0.0
+    s = Tensor(np.array([0.0, 0.5]), requires_grad=True)
+    hinge_loss(s, 0).backward()
+    assert s.grad[0] < 0.0 and s.grad[1] > 0.0
 
 
 # -- count regression ----------------------------------------------------------
@@ -240,8 +238,7 @@ def test_task_loss_hinge_over_the_wrong_candidates():
     answers = np.array([0, 2, 4, 2])
     loss = task_loss(TaskKind.REPEATING_ACTION, Tensor(scores), answers)
     for b, a in enumerate(answers):
-        wrong = [Tensor(np.array(scores[b, k])) for k in range(NUM_CHOICES) if k != a]
-        assert loss.data[b] == pytest.approx(float(hinge_loss(Tensor(np.array(scores[b, a])), wrong).data), abs=1e-15)
+        assert loss.data[b] == pytest.approx(float(hinge_loss(Tensor(scores[b]), a).data), abs=1e-15)
 
 
 def test_task_loss_count_and_word():

@@ -20,7 +20,6 @@ from comem import training
 from comem.training import (
     AdamState,
     TrainConfig,
-    _metric_from_preds,
     _step_gradients,
     adam_step,
     evaluate,
@@ -510,9 +509,9 @@ def test_save_never_deletes_a_blob_the_checkpoint_does_not_own(tmp_path):
 
 def test_metric_accuracy_and_mse():
     preds = np.array([1, 2, 3, 4])
-    assert _metric_from_preds(TaskKind.FRAME_QA, preds, preds.copy()) == 1.0
-    assert _metric_from_preds(TaskKind.FRAME_QA, preds, np.array([1, 0, 3, 0])) == 0.5
-    mse = _metric_from_preds(TaskKind.REPETITION_COUNT, np.array([0, 4]), np.array([2, 2]))
+    assert TaskKind.FRAME_QA.metric(preds, preds.copy()) == 1.0
+    assert TaskKind.FRAME_QA.metric(preds, np.array([1, 0, 3, 0])) == 0.5
+    mse = TaskKind.REPETITION_COUNT.metric(np.array([0, 4]), np.array([2, 2]))
     assert mse == 4.0
 
 
@@ -663,7 +662,7 @@ def test_train_never_renames_over_an_existing_blob(tmp_path, data_dir, monkeypat
             return real(src, dst, *args, **kwargs)
 
         monkeypatch.setattr(os, name, spy)
-    monkeypatch.setattr(training, "_better", lambda task, a, b: True)  # every epoch saves
+    monkeypatch.setattr(TaskKind, "better", lambda task, a, b: True)  # every epoch saves
     ckpt = tmp_path / "m.ckpt"
     train(_cfg("frame", epochs=3), data_dir, ckpt, dims=TINY_DIMS)
     assert [dst for dst, _ in renames].count(ckpt) == 3
@@ -696,7 +695,7 @@ def test_training_and_evaluation_run_items_per_pass_items_per_forward(tmp_path, 
         real = getattr(CoMemoryModel, name)
 
         def call(self, batch):
-            passes[name].append(len(batch["ids"]))
+            passes[name].append(len(batch["answers"]))
             return real(self, batch)
         return call
 
