@@ -10,7 +10,8 @@ File formats
   feature file: magic ``CMF1``, u32 version=1, u32 L, u32 D (little endian),
     then L*D float32 values row-major.
   QA file: one JSON object per line with keys id/task/video/question/answer
-    and, for multiple choice, candidates (exactly 5 token sequences).
+    and, for multiple choice, candidates (exactly 5 token sequences); every
+    line of ``qa/<task>_<split>.jsonl`` is of that task.
   vocab file: JSON mapping token string -> id.
 """
 
@@ -126,8 +127,8 @@ class QAItem:
 
 
 def _validate_item(d: dict, lineno: int, vocab_size: Optional[int] = None,
-                   answer_vocab: Optional[int] = None) -> QAItem:
-    """One QA line as a ``QAItem``; token ids and frame answers are bounded when the sizes are given."""
+                   answer_vocab: Optional[int] = None, file_task: Optional[TaskKind] = None) -> QAItem:
+    """One QA line as a ``QAItem``; token ids, frame answers and the task are checked when given."""
     def fail(msg):
         raise FormatError(f"line {lineno}: {msg}")
 
@@ -156,6 +157,8 @@ def _validate_item(d: dict, lineno: int, vocab_size: Optional[int] = None,
         task = TaskKind(d["task"])
     except ValueError:
         fail(f"unknown task {d['task']!r}")
+    if file_task is not None and task is not file_task:
+        fail(f"task {task.value!r} in a {file_task.value!r} QA file")
     question = tokens(d["question"], "question")
     answer = d["answer"]
     if not is_json_int(answer):
@@ -172,8 +175,12 @@ def _validate_item(d: dict, lineno: int, vocab_size: Optional[int] = None,
                   answer=answer, candidates=candidates)
 
 
-def load_qa_file(path, vocab_size: Optional[int] = None, answer_vocab: Optional[int] = None) -> list[QAItem]:
-    """Validated QA items; ``vocab_size`` and ``answer_vocab`` bound token ids and frame answers."""
+def load_qa_file(path, vocab_size: Optional[int] = None, answer_vocab: Optional[int] = None,
+                 task: Optional[TaskKind] = None) -> list[QAItem]:
+    """Validated QA items; ``vocab_size`` and ``answer_vocab`` bound token ids and frame answers.
+
+    When ``task`` is given, every line must be of that task.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
@@ -187,7 +194,7 @@ def load_qa_file(path, vocab_size: Optional[int] = None, answer_vocab: Optional[
             d = json.loads(line)
         except json.JSONDecodeError as e:
             raise FormatError(f"line {lineno}: invalid JSON ({e.msg})")
-        items.append(_validate_item(d, lineno, vocab_size, answer_vocab))
+        items.append(_validate_item(d, lineno, vocab_size, answer_vocab, task))
     return items
 
 
@@ -465,7 +472,8 @@ class Dataset:
             raise FormatError(f"{self.root / 'manifest.json'}: spec needs integer length, d_a and d_b")
         self.feature_shapes = ((dims[0], dims[1]), (dims[0], dims[2]))  # appearance, motion
         self.items: dict[str, list[QAItem]] = {
-            split: load_qa_file(self.root / "qa" / f"{task.value}_{split}.jsonl", self.vocab_size, self.answer_vocab)
+            split: load_qa_file(self.root / "qa" / f"{task.value}_{split}.jsonl", self.vocab_size, self.answer_vocab,
+                                task)
             for split in SPLITS
         }
         self._features: dict[str, np.ndarray] = {}

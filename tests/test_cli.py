@@ -117,6 +117,18 @@ def test_eval_dump_reproduces_reported_metric(workspace):
     assert (workspace / "frame_eval.jsonl.config.json").exists()
 
 
+def test_eval_refuses_a_qa_line_of_another_task(workspace, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    trans_line = (data / "qa" / "trans_test.jsonl").read_text(encoding="utf-8").splitlines()[0]
+    with open(data / "qa" / "frame_test.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(trans_line + "\n")
+    r = run_cli("eval", "--ckpt", str(workspace / "frame.ckpt"), "--data", str(data), "--dump", "e.jsonl", cwd=tmp_path)
+    assert r.returncode == 2
+    assert "task 'trans' in a 'frame' QA file" in r.stderr
+    assert not (tmp_path / "e.jsonl").exists()
+
+
 def test_eval_multiple_choice_metric_name(workspace):
     r = run_cli("eval", "--ckpt", "trans.ckpt", "--data", "data", "--dump", "t.jsonl", cwd=workspace)
     assert r.returncode == 0, r.stderr
@@ -234,6 +246,12 @@ def test_gradcheck_passes_and_repeats(tmp_path):
     r2 = run_cli("gradcheck", "--seed", "0", cwd=tmp_path)
     assert r2.stdout == r1.stdout  # same seed, same reported error
     assert (tmp_path / "gradcheck_0.config.json").exists()
+
+
+def test_gradcheck_passes_where_a_wide_step_straddles_a_hinge_kink(tmp_path, monkeypatch):
+    """At a finite-difference step of 1e-4, seed 8 read 1.7e-2 in trans; the check is one of the model, not the step."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["gradcheck", "--seed", "8"]) == 0
 
 
 def test_gradcheck_detects_corrupted_gradients(tmp_path, monkeypatch):

@@ -555,6 +555,16 @@ def test_dataset_rejects_frame_answer_outside_answer_vocabulary(small_dataset):
         Dataset(small_dataset, TaskKind.FRAME_QA)
 
 
+def test_dataset_rejects_a_qa_line_of_another_task(small_dataset):
+    """A trans line in the frame file would otherwise load with its answer checked against trans's 0..4."""
+    trans_line = (small_dataset / "qa" / "trans_train.jsonl").read_text(encoding="utf-8").splitlines()[0]
+    path = small_dataset / "qa" / "frame_train.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines() + [trans_line]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=f"line {len(lines)}: task 'trans' in a 'frame' QA file"):
+        Dataset(small_dataset, TaskKind.FRAME_QA)
+
+
 def test_missing_qa_file_is_format_error(tmp_path):
     with pytest.raises(FormatError, match="nope.jsonl"):
         load_qa_file(tmp_path / "nope.jsonl")

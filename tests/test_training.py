@@ -741,6 +741,21 @@ def test_multiple_choice_training_smoke(tmp_path, data_dir):
     assert all(0 <= d["pred"] < 5 for d in dump)
 
 
+def test_trans_learns_at_width_32(tmp_path):
+    """Trans at uniform width 32 leaves the hinge margin (loss 1.0) and beats chance (ACC 0.2) on test.
+
+    Over training seeds 0-11 on this set, 15 epochs read test ACC 0.35-0.55
+    and a last-epoch train loss of 0.34-0.46; each bound sits past the worst
+    seed, so a last-bit change passes and a model that cannot learn fails.
+    """
+    generate_dataset(SyntheticSpec(seed=2), 400, tmp_path / "d")
+    width = dict.fromkeys(("embed_dim", "question_hidden", "fact_channels", "context_dim", "memory_dim", "gate_dim"), 32)
+    history = train(TrainConfig(task="trans", epochs=15, seed=0), tmp_path / "d", tmp_path / "m.ckpt", dims=width)
+    acc, _ = evaluate(tmp_path / "m.ckpt", tmp_path / "d")
+    assert acc >= 0.30
+    assert history[-1]["train_loss"] <= 0.55
+
+
 def test_train_config_validation():
     with pytest.raises(DomainError):
         TrainConfig(task="frame", learning_rate=0.0)
