@@ -150,12 +150,9 @@ def _cmd_inspect(args) -> int:
 
 
 def full_model_gradcheck(seed: int = 0) -> float:
-    """Finite-difference check of the tiny model across all four task losses; returns max error.
-
-    The float64 step of 1e-6 keeps most central differences from straddling a
-    hinge or ReLU kink, while its round-off stays near 1e-10.
-    """
+    """Finite-difference check of the tiny model across all four task losses; returns max error."""
     worst = 0.0
+    # a float64 step of 1e-6 rarely straddles a hinge or ReLU kink, and its round-off is near 1e-10
     for task in TaskKind:
         f, tensors = build_gradcheck_case(task.value, seed=seed)
         worst = max(worst, grad_check(f, tensors, eps=1e-6, max_coords=2, seed=seed))

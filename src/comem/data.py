@@ -9,9 +9,8 @@ emitted where the episode admits an unambiguous question.
 File formats
   feature file: magic ``CMF1``, u32 version=1, u32 L, u32 D (little endian),
     then L*D float32 values row-major.
-  QA file: one JSON object per line with keys id/task/video/question/answer
-    and, for multiple choice, candidates (exactly 5 token sequences); every
-    line of ``qa/<task>_<split>.jsonl`` is of that task.
+  QA file ``qa/<task>_<split>.jsonl``: one JSON object of that task per line, with keys
+    id/task/video/question/answer and, for multiple choice, candidates (exactly 5 token sequences).
   vocab file: JSON mapping token string -> id.
 """
 
@@ -177,10 +176,7 @@ def _validate_item(d: dict, lineno: int, vocab_size: Optional[int] = None,
 
 def load_qa_file(path, vocab_size: Optional[int] = None, answer_vocab: Optional[int] = None,
                  task: Optional[TaskKind] = None) -> list[QAItem]:
-    """Validated QA items; ``vocab_size`` and ``answer_vocab`` bound token ids and frame answers.
-
-    When ``task`` is given, every line must be of that task.
-    """
+    """Validated QA items, checked against whichever of ``vocab_size``, ``answer_vocab`` and ``task`` are given."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:

@@ -80,6 +80,8 @@ def test_hinge_hand_cases():
     # margins violated by 0.3 and satisfied with slack: relu(1 + 1.3 - 2) = 0.3
     loss = hinge_loss(Tensor(np.array([2.0, 1.3, -1.0])), 0)
     assert np.allclose(loss.data, 0.15, atol=1e-12)
+    loss = hinge_loss(Tensor(np.array([1.3, -1.0, 2.0])), 2)
+    assert np.allclose(loss.data, 0.15, atol=1e-12)
     # exactly at the margin contributes zero
     loss = hinge_loss(Tensor(np.array([2.0, 1.0])), 0)
     assert loss.data == 0.0
@@ -238,7 +240,8 @@ def test_task_loss_hinge_over_the_wrong_candidates():
     answers = np.array([0, 2, 4, 2])
     loss = task_loss(TaskKind.REPEATING_ACTION, Tensor(scores), answers)
     for b, a in enumerate(answers):
-        assert loss.data[b] == pytest.approx(float(hinge_loss(Tensor(scores[b]), a).data), abs=1e-15)
+        wrong = [max(0.0, 1.0 + scores[b, k] - scores[b, a]) for k in range(NUM_CHOICES) if k != a]
+        assert loss.data[b] == pytest.approx(np.mean(wrong), abs=1e-15)
 
 
 def test_task_loss_count_and_word():
