@@ -1,6 +1,7 @@
 """Command-line entry point: gen / train / eval / gradcheck / inspect.
 
-Exit codes: 0 success, 1 usage, 2 data/format, 3 numeric failure.
+Exit codes: 0 success, 1 usage, 2 data/format, 3 numeric failure; a
+``ComemError`` exits with its type's ``exit_code``.
 Every run echoes its fully-resolved configuration to a sidecar JSON file
 next to its primary output.
 """
@@ -14,14 +15,13 @@ from pathlib import Path
 
 from .data import Dataset, SyntheticSpec, generate_dataset
 from .decoders import TaskKind
-from .errors import ComemError, ConfigError, FormatError, NumericError
+from .errors import ComemError, FormatError
 from .model import build_gradcheck_case
 from .tensor import grad_check
 from .training import TrainConfig, evaluate_model, load_checkpoint, train, write_metric_log
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 GRADCHECK_TOLERANCE = 1e-4
@@ -115,7 +115,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     model, _ = load_checkpoint(args.ckpt)
-    task = model.config.task_kind()
+    task = model.config.task
     dataset = Dataset(args.data, task)
     metric, dump = evaluate_model(model, dataset, split=args.split)
     dump_path = Path(args.dump)
@@ -131,7 +131,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_inspect(args) -> int:
     model, _ = load_checkpoint(args.ckpt)
-    task = model.config.task_kind()
+    task = model.config.task
     dataset = Dataset(args.data, task)
     item = next((it for items in dataset.items.values() for it in items if it.id == args.qa_id), None)
     if item is None:
@@ -174,15 +174,9 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.run(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except NumericError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
     except ComemError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
+        return e.exit_code
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 
 class ComemError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; ``exit_code`` is the CLI's exit status for it (2: data/format)."""
+    exit_code = 2
 
 
 class DimensionError(ComemError, ValueError):
@@ -23,7 +24,9 @@ class FormatError(ComemError, ValueError):
 
 class ConfigError(ComemError, ValueError):
     """Incompatible configuration, e.g. checkpoint/dataset task mismatch."""
+    exit_code = 1
 
 
 class NumericError(ComemError, ArithmeticError):
     """A non-finite value was produced where a finite one is required."""
+    exit_code = 3

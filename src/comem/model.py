@@ -19,7 +19,7 @@ from .tensor import ParameterStore, Tensor
 
 @dataclass
 class ModelConfig:
-    task: str
+    task: TaskKind
     vocab_size: int
     input_width_a: int = 2048
     input_width_b: int = 2048
@@ -34,8 +34,8 @@ class ModelConfig:
     memory_dim: int = 1024
     gate_dim: int = 512
 
-    def task_kind(self) -> TaskKind:
-        return TaskKind(self.task)
+    def __post_init__(self):
+        self.task = TaskKind(self.task)
 
 
 def tiny_model_config(task: str = "frame") -> ModelConfig:
@@ -70,20 +70,19 @@ def build_gradcheck_case(task: str, seed: int = 0):
     batch = 2
     cfg = tiny_model_config(task)
     model = CoMemoryModel(cfg, seed=seed, dtype=T.WIDE_DTYPE)
-    kind = TaskKind(task)
     # offset by the task's index: the multiple-choice tasks share one model and would draw the same inputs
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed + 17 + list(TaskKind).index(kind))))
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed + 17 + list(TaskKind).index(cfg.task))))
     L = cfg.resolution
     features_a = rng.standard_normal((batch, L, cfg.input_width_a))
     features_b = rng.standard_normal((batch, L, cfg.input_width_b))
     # variable lengths, so finite differences also cover codes read before the last step
     questions = [list(rng.integers(0, cfg.vocab_size, size=rng.integers(2, 6))) for _ in range(batch)]
     candidates = None
-    if kind.is_multiple_choice:
+    if cfg.task.is_multiple_choice:
         flat = [list(rng.integers(0, cfg.vocab_size, size=rng.integers(1, 4))) for _ in range(batch * D.NUM_CHOICES)]
         candidates = [flat[i : i + D.NUM_CHOICES] for i in range(0, len(flat), D.NUM_CHOICES)]
     batch_dict = make_batch(features_a, features_b, questions, candidates)
-    batch_dict["answers"] = rng.integers(0, D.num_answers(kind, cfg.answer_vocab), size=batch)
+    batch_dict["answers"] = rng.integers(0, D.num_answers(cfg.task, cfg.answer_vocab), size=batch)
 
     def f():
         loss, _ = model.forward_loss(batch_dict)
@@ -110,11 +109,10 @@ class CoMemoryModel:
             fact_dim=c.fact_channels, memory_dim=c.memory_dim,
             question_dim=c.question_hidden, gate_dim=c.gate_dim, context_dim=c.context_dim,
         )
-        task = c.task_kind()
-        if task.is_multiple_choice:
+        if c.task.is_multiple_choice:
             self.fuse_w = self.store.add("fuse.w", (2 * c.question_hidden, c.question_hidden))
             self.fuse_b = self.store.add("fuse.b", (c.question_hidden,))
-        self.decoder = DecoderParams.create(self.store, "dec", 2 * c.memory_dim, task, c.answer_vocab)
+        self.decoder = DecoderParams.create(self.store, "dec", 2 * c.memory_dim, c.task, c.answer_vocab)
         self.store.check_filled()
 
     # -- building blocks ---------------------------------------------------
@@ -151,7 +149,7 @@ class CoMemoryModel:
         shared by every cycle and every candidate.  The fact levels are not
         kept past their projection, so those that no backward reads are freed.
         """
-        task = self.config.task_kind()
+        task = self.config.task
         proj = fact_projections(*self._facts(batch["features_a"], batch["features_b"]), self.comem)
         q = self._question(batch["q_ids"], batch["q_len"])
         if task.is_multiple_choice:
@@ -163,18 +161,18 @@ class CoMemoryModel:
 
     def forward_loss(self, batch: dict) -> tuple[Tensor, np.ndarray]:
         """Mean loss over a batch dict; returns (loss, per-item predictions)."""
-        task = self.config.task_kind()
+        task = self.config.task
         out, _ = self._forward(batch)
         return T.tmean(D.task_loss(task, out, batch["answers"])), D.task_predictions(task, out)
 
     def predict(self, batch: dict) -> np.ndarray:
         with T.no_grad():
             out, _ = self._forward(batch)
-        return D.task_predictions(self.config.task_kind(), out)
+        return D.task_predictions(self.config.task, out)
 
     def inspect(self, features_a, features_b, question_tokens, candidates=None) -> dict:
         """One forward pass for a single item; returns attention maps and prediction."""
-        task = self.config.task_kind()
+        task = self.config.task
         if task.is_multiple_choice and (candidates is None or len(candidates) != D.NUM_CHOICES):
             raise DomainError("multiple-choice inspection needs 5 candidates")
         batch = make_batch([features_a], [features_b], [question_tokens],

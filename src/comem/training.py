@@ -36,7 +36,7 @@ THREADS = 2
 
 @dataclass
 class TrainConfig:
-    task: str = "frame"
+    task: TaskKind = TaskKind.FRAME_QA
     learning_rate: float = 0.001
     batch_size: int = 64
     epochs: int = 50
@@ -51,7 +51,7 @@ class TrainConfig:
             raise DomainError("cycles and levels must be positive")
         if not 0 <= self.seed < 2**63:
             raise DomainError(f"seed must be in [0, 2**63), got {self.seed}")
-        TaskKind(self.task)
+        self.task = TaskKind(self.task)
 
 
 # elements per block of the Adam update: a block's operands and scratch stay in cache
@@ -198,7 +198,6 @@ def load_checkpoint(path) -> tuple[CoMemoryModel, dict]:
     _int_field(manifest, "epoch", path)
     try:
         config = ModelConfig(**_field(manifest, "model_config", path))
-        config.task_kind()
     except (TypeError, ValueError) as e:
         raise FormatError(f"{path}: bad model_config in checkpoint manifest ({e})")
     if not all(is_json_int(v) for k, v in asdict(config).items() if k != "task"):
@@ -287,7 +286,7 @@ ITEMS_PER_PASS = 64
 
 def evaluate_model(model: CoMemoryModel, dataset: Dataset, split: str = "test"):
     """Metric plus per-item predictions for one split."""
-    task = model.config.task_kind()
+    task = model.config.task
     if task is not dataset.task:
         raise ConfigError(f"checkpoint task {task.value!r} does not match dataset task {dataset.task.value!r}")
     items = dataset.items[split]
@@ -302,7 +301,7 @@ def evaluate_model(model: CoMemoryModel, dataset: Dataset, split: str = "test"):
 
 def evaluate(checkpoint_path, data_dir, split: str = "test"):
     model, _ = load_checkpoint(checkpoint_path)
-    dataset = Dataset(data_dir, model.config.task_kind())
+    dataset = Dataset(data_dir, model.config.task)
     return evaluate_model(model, dataset, split=split)
 
 
@@ -336,8 +335,7 @@ def train(
     Returns the per-epoch history: train loss, validation metric, seconds.
     Deterministic for a fixed seed and single-worker execution.
     """
-    task = TaskKind(cfg.task)
-    dataset = Dataset(data_dir, task)
+    dataset = Dataset(data_dir, cfg.task)
     if not dataset.items["train"]:
         raise DomainError("training split is empty")
     if not dataset.items["val"]:
@@ -368,7 +366,7 @@ def train(
         history.append(entry)
         if log_fn:
             log_fn(entry)
-        if best is None or task.better(val_metric, best):
+        if best is None or cfg.task.better(val_metric, best):
             best = val_metric
             save_checkpoint(checkpoint_path, model, cfg, epoch, history)
     # Verify the best checkpoint by reloading it, with the training weights and

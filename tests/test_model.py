@@ -36,13 +36,13 @@ def _random_batch(cfg, rng):
     """A ``make_batch`` dict of ITEMS random answered items, questions of 4, 3 and 5 tokens."""
     questions = [list(rng.integers(0, cfg.vocab_size, size=n)) for n in (4, 3, 5)]
     candidates = None
-    if cfg.task_kind().is_multiple_choice:
+    if cfg.task.is_multiple_choice:
         candidates = [[list(rng.integers(0, cfg.vocab_size, size=1 + (b + k) % 3)) for k in range(D.NUM_CHOICES)]
                       for b in range(ITEMS)]
     L = cfg.resolution
     batch = make_batch(rng.standard_normal((ITEMS, L, cfg.input_width_a)),
                        rng.standard_normal((ITEMS, L, cfg.input_width_b)), questions, candidates)
-    batch["answers"] = rng.integers(0, D.num_answers(cfg.task_kind(), cfg.answer_vocab), size=ITEMS)
+    batch["answers"] = rng.integers(0, D.num_answers(cfg.task, cfg.answer_vocab), size=ITEMS)
     return batch, questions, candidates
 
 
@@ -135,7 +135,7 @@ def test_inspect_requires_five_candidates(case):
 def test_forward_loss_is_the_tested_head_loss(task):
     """The training loss is the mean of the decoders' own losses over the head output."""
     cfg = tiny_model_config(task)
-    kind = cfg.task_kind()
+    kind = cfg.task
     model = CoMemoryModel(cfg, seed=5, dtype=np.float64)
     batch, _, _ = _random_batch(cfg, _rng(50))
     loss, preds = model.forward_loss(batch)
