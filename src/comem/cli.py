@@ -18,7 +18,7 @@ from .decoders import TaskKind
 from .errors import ComemError, FormatError
 from .model import build_gradcheck_case
 from .tensor import grad_check
-from .training import TrainConfig, evaluate_model, load_checkpoint, train, write_metric_log
+from .training import TrainConfig, check_dataset, evaluate_model, load_checkpoint, train, write_metric_log
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -133,6 +133,7 @@ def _cmd_inspect(args) -> int:
     model, _ = load_checkpoint(args.ckpt)
     task = model.config.task
     dataset = Dataset(args.data, task)
+    check_dataset(model.config, dataset)
     item = next((it for items in dataset.items.values() for it in items if it.id == args.qa_id), None)
     if item is None:
         raise FormatError(f"QA id {args.qa_id!r} not found in {args.data} for task {task.value!r}")

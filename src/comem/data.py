@@ -125,11 +125,11 @@ class QAItem:
         return d
 
 
-def _validate_item(d: dict, lineno: int, vocab_size: Optional[int] = None,
+def _validate_item(d: dict, where: str, vocab_size: Optional[int] = None,
                    answer_vocab: Optional[int] = None, file_task: Optional[TaskKind] = None) -> QAItem:
     """One QA line as a ``QAItem``; token ids, frame answers and the task are checked when given."""
     def fail(msg):
-        raise FormatError(f"line {lineno}: {msg}")
+        raise FormatError(f"{where}: {msg}")
 
     def check_range(value: int, top: Optional[int], what: str):
         if value < 0 or (top is not None and value >= top):
@@ -189,8 +189,8 @@ def load_qa_file(path, vocab_size: Optional[int] = None, answer_vocab: Optional[
         try:
             d = json.loads(line)
         except json.JSONDecodeError as e:
-            raise FormatError(f"line {lineno}: invalid JSON ({e.msg})")
-        items.append(_validate_item(d, lineno, vocab_size, answer_vocab, task))
+            raise FormatError(f"{path}: line {lineno}: invalid JSON ({e.msg})")
+        items.append(_validate_item(d, f"{path}: line {lineno}", vocab_size, answer_vocab, task))
     return items
 
 

@@ -90,7 +90,7 @@ def round_count(r):
 
 def predict_count(m_h: Tensor, p: DecoderParams):
     """Integer prediction from ``round_count``; a scalar for one memory vector."""
-    counts = round_count(count_regression(m_h, p).data)
+    counts = task_predictions(TaskKind.REPETITION_COUNT, count_regression(m_h, p))
     return counts if counts.ndim else int(counts)
 
 
@@ -118,9 +118,8 @@ def cross_entropy_loss(logits: Tensor, target) -> Tensor:
 
 
 def predict_word(m_h: Tensor, p: DecoderParams):
-    """Argmax class (ties resolve to the lowest index)."""
-    logits = word_logits(m_h, p)
-    idx = np.argmax(logits.data, axis=-1)
+    """Argmax class (ties resolve to the lowest index); a scalar for one memory vector."""
+    idx = task_predictions(TaskKind.FRAME_QA, word_logits(m_h, p))
     return idx if idx.ndim else int(idx)
 
 

@@ -20,6 +20,9 @@ may be ``(L, C)`` or ``(B, L, C)``.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import platform
+import sys
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -42,6 +45,38 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
+
+
+# MXCSR's flush-to-zero (bit 15) and denormals-are-zero (bit 6) bits; on x86-64
+# glibc, fenv_t is 32 bytes and MXCSR is its last 4
+_FTZ_DAZ = (1 << 15) | (1 << 6)
+try:
+    _libm = ctypes.CDLL("libm.so.6") if sys.platform == "linux" and platform.machine() == "x86_64" else None
+except OSError:
+    _libm = None
+
+
+@contextlib.contextmanager
+def flush_subnormals():
+    """Flush subnormal floats to zero, as results and as inputs, on the calling thread inside the block.
+
+    Sets MXCSR's FTZ and DAZ bits through libm's ``fegetenv``/``fesetenv``
+    and restores the previous environment on exit, also after an exception.
+    Threads started inside the block inherit the bits.  On any platform but
+    x86-64 Linux it does nothing.
+    """
+    if _libm is None:
+        yield
+        return
+    env = ctypes.create_string_buffer(32)
+    _libm.fegetenv(env)
+    saved = env.raw
+    env[28:32] = (int.from_bytes(saved[28:32], "little") | _FTZ_DAZ).to_bytes(4, "little")
+    _libm.fesetenv(env)
+    try:
+        yield
+    finally:
+        _libm.fesetenv(ctypes.create_string_buffer(saved, 32))
 
 
 class _Node:

@@ -18,7 +18,7 @@ from .data import Dataset, is_json_int, read_json_object
 from .decoders import TaskKind
 from .errors import ConfigError, DomainError, FormatError, NumericError
 from .model import CoMemoryModel, ModelConfig
-from .tensor import ParameterStore
+from .tensor import ParameterStore, flush_subnormals
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -284,11 +284,19 @@ def model_config_for(dataset: Dataset, cfg: TrainConfig, dims: Optional[dict] = 
 ITEMS_PER_PASS = 64
 
 
+def check_dataset(config: ModelConfig, dataset: Dataset):
+    """``ConfigError`` unless ``dataset`` has ``config``'s task, then its vocabulary and answer vocabulary sizes."""
+    for field, ours, theirs in (("task", config.task.value, dataset.task.value),
+                                ("vocab_size", config.vocab_size, dataset.vocab_size),
+                                ("answer_vocab", config.answer_vocab, dataset.answer_vocab)):
+        if ours != theirs:
+            raise ConfigError(f"checkpoint {field} {ours!r} does not match dataset {field} {theirs!r}")
+
+
+@flush_subnormals()
 def evaluate_model(model: CoMemoryModel, dataset: Dataset, split: str = "test"):
-    """Metric plus per-item predictions for one split."""
-    task = model.config.task
-    if task is not dataset.task:
-        raise ConfigError(f"checkpoint task {task.value!r} does not match dataset task {dataset.task.value!r}")
+    """Metric plus per-item predictions for one split of a dataset that ``check_dataset`` accepts."""
+    check_dataset(model.config, dataset)
     items = dataset.items[split]
     if not items:
         raise DomainError(f"split {split!r} is empty")
@@ -296,7 +304,7 @@ def evaluate_model(model: CoMemoryModel, dataset: Dataset, split: str = "test"):
                             for start in range(0, len(items), ITEMS_PER_PASS)])
     golds = [item.answer for item in items]
     dump = [{"id": item.id, "pred": int(p), "gold": item.answer} for item, p in zip(items, preds)]
-    return task.metric(preds, golds), dump
+    return model.config.task.metric(preds, golds), dump
 
 
 def evaluate(checkpoint_path, data_dir, split: str = "test"):
@@ -323,6 +331,7 @@ def _step_gradients(model: CoMemoryModel, dataset: Dataset, chunk: list) -> floa
     return total / len(chunk)
 
 
+@flush_subnormals()
 def train(
     cfg: TrainConfig,
     data_dir,

@@ -14,7 +14,7 @@ import pytest
 
 import comem
 import comem.tensor as T
-from comem import cli
+from comem import cli, errors
 from comem.data import FeatureSequence, write_feature_file
 
 CLI = [sys.executable, "-m", "comem.cli"]
@@ -126,6 +126,7 @@ def test_eval_refuses_a_qa_line_of_another_task(workspace, tmp_path):
     r = run_cli("eval", "--ckpt", str(workspace / "frame.ckpt"), "--data", str(data), "--dump", "e.jsonl", cwd=tmp_path)
     assert r.returncode == 2
     assert "task 'trans' in a 'frame' QA file" in r.stderr
+    assert "qa/frame_test.jsonl" in r.stderr
     assert not (tmp_path / "e.jsonl").exists()
 
 
@@ -165,6 +166,24 @@ def test_eval_non_object_qa_line_is_data_error(workspace, tmp_path):
     dump = tmp_path / "x.jsonl"
     assert cli.main(["eval", "--ckpt", str(workspace / "frame.ckpt"), "--data", str(data), "--dump", str(dump)]) == 2
     assert not dump.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "inspect"])
+def test_checkpoint_on_a_dataset_of_another_vocabulary_is_config_error(workspace, tmp_path, command):
+    """The frame checkpoint knows 43 words; a 5-action, 5-object set has 37, and its token ids mean other words."""
+    r = run_cli("gen", "--out", "small", "--episodes", "20", "--seed", "21", "--actions", "5", "--objects", "5",
+                cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    if command == "eval":
+        out = ["--dump", "x.jsonl"]
+    else:
+        line = (tmp_path / "small" / "qa" / "frame_test.jsonl").read_text().splitlines()[0]
+        out = ["--id", json.loads(line)["id"], "--out", "x.jsonl"]
+    r = run_cli(command, "--ckpt", str(workspace / "frame.ckpt"), "--data", "small", *out, cwd=tmp_path)
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: checkpoint vocab_size 43 does not match dataset vocab_size 37"), r.stderr
+    assert len(r.stderr.splitlines()) == 1, r.stderr
+    assert not (tmp_path / "x.jsonl").exists()
 
 
 @pytest.mark.parametrize("command, split", [("train", "val"), ("eval", "test")])
@@ -284,6 +303,28 @@ def test_out_of_range_values_are_data_errors_that_write_nothing(tmp_path, args):
 
 
 # -- usage errors --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("error, code", [(errors.ConfigError, 1), (errors.ComemError, 2), (errors.FormatError, 2),
+                                         (errors.DomainError, 2), (errors.NumericError, 3)])
+def test_main_exits_with_the_error_types_exit_code(monkeypatch, capsys, error, code):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "_cmd_gradcheck", fail)
+    assert error.exit_code == code
+    assert cli.main(["gradcheck"]) == code
+    assert capsys.readouterr().err == "error: boom\n"
+
+
+def test_readme_exit_code_table_names_each_error_types_exit_code():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| (\d) \|(.*)\|$", readme, flags=re.M)
+    assert [int(code) for code, _ in rows] == [0, 1, 2, 3]
+    named = {name: int(code) for code, cell in rows for name in re.findall(r"`(\w+Error)`", cell)}
+    assert {"ComemError", "ConfigError", "NumericError"} <= named.keys()
+    for name, code in named.items():
+        assert getattr(errors, name).exit_code == code, name
 
 
 def test_usage_errors_exit_one(tmp_path):

@@ -21,7 +21,7 @@ from comem.data import make_batch
 from comem.encoders import encode_token_batch
 from comem.errors import DomainError
 from comem.memory import run_episodes
-from comem.model import CoMemoryModel, tiny_model_config
+from comem.model import CoMemoryModel, ModelConfig, tiny_model_config
 from comem.tensor import Tensor
 from oracle_ops import mul
 
@@ -212,3 +212,9 @@ def test_predict_holds_no_fact_level_once_projected(monkeypatch):
     monkeypatch.setattr(model_module, "run_episodes", counting_run)
     model.predict(batch)
     assert len(levels) == 2 * cfg.levels and alive == [0]
+
+
+def test_model_config_holds_a_task_kind_and_refuses_an_unknown_task():
+    assert ModelConfig(task="trans", vocab_size=13).task is D.TaskKind.STATE_TRANSITION
+    with pytest.raises(ValueError, match="bogus"):
+        ModelConfig(task="bogus", vocab_size=13)

@@ -1,5 +1,9 @@
 """Tensor engine: forward oracles, gradient fidelity, geometry rules."""
 
+import ctypes
+import platform
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -787,3 +791,66 @@ def test_given_values_become_the_parameters():
     b = s.add("b", (3,))
     assert b.data.dtype == np.float32 and np.array_equal(b.data, np.ones(3))
     s.check_filled()
+
+
+# -- subnormal flushing --------------------------------------------------------------
+
+x86_64_linux = pytest.mark.skipif(sys.platform != "linux" or platform.machine() != "x86_64",
+                                  reason="flush_subnormals sets MXCSR only on x86-64 Linux")
+
+
+def _mxcsr() -> int:
+    """The calling thread's MXCSR control bits (its sticky exception flags, bits 0-5, masked out).
+
+    MXCSR is the last 4 bytes of glibc's 32-byte x86-64 ``fenv_t``.
+    """
+    env = ctypes.create_string_buffer(32)
+    assert ctypes.CDLL("libm.so.6").fegetenv(env) == 0
+    return int.from_bytes(env.raw[28:32], "little") & ~0x3F
+
+
+def _subnormals(a: np.ndarray) -> int:
+    return int(((a != 0) & (np.abs(a) < np.finfo(a.dtype).tiny)).sum())
+
+
+def _saturated_gradient_subnormals() -> list[int]:
+    """Subnormals in the float32 gradients of a saturated ``gru_scan`` (proj, u_gates, u_h) and ``softmax``."""
+    rng = _rng(31)
+    H = 8
+    proj = Tensor(rng.standard_normal((4, 6, 3 * H)).astype(np.float32) * 60, requires_grad=True)
+    u_gates = Tensor(rng.standard_normal((H, 2 * H)).astype(np.float32), requires_grad=True)
+    u_h = Tensor(rng.standard_normal((H, H)).astype(np.float32), requires_grad=True)
+    T.tsum(T.gru_scan(proj, u_gates, u_h)).backward()
+    x = Tensor(rng.standard_normal((16, 12)).astype(np.float32) * 40, requires_grad=True)
+    y = T.softmax(x)
+    y.backward(rng.standard_normal(y.shape).astype(np.float32))
+    return [_subnormals(t.grad) for t in (proj, u_gates, u_h, x)]
+
+
+@x86_64_linux
+def test_flush_subnormals_leaves_no_subnormal_in_saturated_gradients():
+    plain = _saturated_gradient_subnormals()
+    assert plain[0] > 0 and plain[3] > 0, plain  # the gru_scan and softmax cases do reach subnormals
+    with T.flush_subnormals():
+        assert _saturated_gradient_subnormals() == [0, 0, 0, 0]
+    assert _saturated_gradient_subnormals() == plain
+
+
+@x86_64_linux
+def test_flush_subnormals_sets_ftz_daz_and_restores_mxcsr():
+    before = _mxcsr()
+    with T.flush_subnormals():
+        inside = _mxcsr()
+        started = []
+        worker = threading.Thread(target=lambda: started.append(_mxcsr()))
+        worker.start()
+        worker.join()
+        with T.flush_subnormals():
+            pass
+        assert _mxcsr() == inside
+    assert inside & 0x8040 == 0x8040 and started[0] & 0x8040 == 0x8040
+    assert _mxcsr() == before
+    with pytest.raises(KeyError):
+        with T.flush_subnormals():
+            raise KeyError("inside")
+    assert _mxcsr() == before

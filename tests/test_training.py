@@ -1,5 +1,6 @@
 """Adam, checkpoint round-trips, and the deterministic training loop."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -22,6 +23,7 @@ from comem.training import (
     TrainConfig,
     _step_gradients,
     adam_step,
+    check_dataset,
     evaluate,
     evaluate_model,
     load_checkpoint,
@@ -521,6 +523,18 @@ def test_evaluate_rejects_task_mismatch(data_dir):
     model.config.input_width_a = 64
     with pytest.raises(ConfigError, match="task"):
         evaluate_model(model, Dataset(data_dir, TaskKind.STATE_TRANSITION))
+
+
+def test_check_dataset_compares_the_task_then_the_vocabularies(data_dir):
+    ds = Dataset(data_dir, TaskKind.FRAME_QA)
+    cfg = model_config_for(ds, _cfg("frame"), dims=TINY_DIMS)
+    check_dataset(cfg, ds)
+    wider = dataclasses.replace(cfg, vocab_size=cfg.vocab_size + 1)
+    for bad, field in [(dataclasses.replace(wider, task="trans"), "task 'trans'"),
+                       (wider, f"vocab_size {cfg.vocab_size + 1}"),
+                       (dataclasses.replace(cfg, answer_vocab=cfg.answer_vocab - 1), f"answer_vocab {cfg.answer_vocab - 1}")]:
+        with pytest.raises(ConfigError, match=f"checkpoint {field} does not match"):
+            check_dataset(bad, ds)
 
 
 @pytest.mark.parametrize("eval_batch", [1, 5, 16])
