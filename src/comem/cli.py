@@ -15,14 +15,13 @@ from pathlib import Path
 
 from .data import Dataset, SyntheticSpec, generate_dataset
 from .decoders import TaskKind
-from .errors import ComemError, FormatError
+from .errors import ComemError, FormatError, NumericError
 from .model import build_gradcheck_case
 from .tensor import grad_check
 from .training import TrainConfig, check_dataset, evaluate_model, load_checkpoint, train, write_metric_log
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_NUMERIC = 3
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -164,7 +163,7 @@ def _cmd_gradcheck(args) -> int:
     err = full_model_gradcheck(seed=args.seed)
     _echo_config(f"gradcheck_{args.seed}.config.json", {"command": "gradcheck", "seed": args.seed})
     print(f"max relative error: {err:.3e}")
-    return EXIT_OK if err <= GRADCHECK_TOLERANCE else EXIT_NUMERIC
+    return EXIT_OK if err <= GRADCHECK_TOLERANCE else NumericError.exit_code
 
 
 def main(argv=None) -> int:

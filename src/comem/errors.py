@@ -23,7 +23,7 @@ class FormatError(ComemError, ValueError):
 
 
 class ConfigError(ComemError, ValueError):
-    """Incompatible configuration, e.g. checkpoint/dataset task mismatch."""
+    """Incompatible configuration, e.g. a checkpoint whose task or vocabularies differ from the dataset's."""
     exit_code = 1
 
 

@@ -54,6 +54,8 @@ try:
     _libm = ctypes.CDLL("libm.so.6") if sys.platform == "linux" and platform.machine() == "x86_64" else None
 except OSError:
     _libm = None
+if _libm is not None:
+    _libm.fegetenv.argtypes = _libm.fesetenv.argtypes = [ctypes.c_char_p]  # fenv_t *; both return int
 
 
 @contextlib.contextmanager
