@@ -23,6 +23,7 @@ import contextlib
 import ctypes
 import platform
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -31,6 +32,10 @@ from .errors import DimensionError, DomainError, GeometryError, NumericError
 
 DEFAULT_DTYPE = np.float32
 WIDE_DTYPE = np.float64
+
+# threads that draw initial weights, run the Adam update and hash checkpoint
+# parameters; two fill a 2-core host, and no result depends on the count
+THREADS = 2
 
 _grad_enabled = True
 
@@ -784,6 +789,34 @@ def gru_scan(proj: Tensor, u_gates: Tensor, u_h: Tensor, gate: Optional[Tensor] 
 
 # -- parameters ----------------------------------------------------------------
 
+# a parameter's initial draw is split into chunks that start at multiples of this many values
+DRAW_BLOCK = 1 << 16
+
+
+def _philox_at(state: dict, start: int, dtype) -> np.random.Philox:
+    """A Philox bit generator at value ``start`` of a ``Generator.random`` draw in ``dtype`` from ``state``.
+
+    A float64 value takes one uint64, and a float32 value one uint32 half, the
+    low half first, after any half ``state`` holds pending.  ``start`` must
+    lie past ``state``'s buffered block, which any ``start >= 9`` does.
+    """
+    pending = state["has_uint32"]
+    skip, half = divmod(start - pending, 2) if np.dtype(dtype) == np.float32 else (start, 0)
+    # Philox makes 4 uint64 per counter step; advance() clears the buffer, so
+    # the next draw computes the block after the counter's
+    blocks, pos = divmod(state["buffer_pos"] + skip, 4)
+    bitgen = np.random.Philox()
+    bitgen.state = state
+    bitgen.advance(blocks - 1)
+    raw = bitgen.random_raw(pos + half)  # with a half, the last uint64's high half is the chunk's first value
+    moved = bitgen.state
+    if half:
+        moved.update(has_uint32=1, uinteger=int(raw[-1] >> 32))
+    elif np.dtype(dtype) != np.float32:
+        moved.update(has_uint32=pending, uinteger=state["uinteger"])
+    bitgen.state = moved
+    return bitgen
+
 
 class ParameterStore:
     """Named, ordered collection of learnable tensors.
@@ -829,12 +862,37 @@ class ParameterStore:
             # uniform(-s, s) drawn in the store's dtype: for float64 these are
             # exactly Generator.uniform's values, and float32 skips a float64 copy
             s = np.dtype(self.dtype).type(np.sqrt(6.0 / (fan_in + fan_out)))
-            data = self._rng.random(shape, dtype=self.dtype)
-            data *= 2 * s
-            data -= s
+            data = np.empty(shape, dtype=self.dtype)
+            self._draw_uniform(data.reshape(-1), s)
         t = Tensor(data, requires_grad=True)
         self._params[name] = t
         return t
+
+    def _draw_uniform(self, out: np.ndarray, s):
+        """Fill ``out`` with uniform(-s, s): bit for bit one ``random`` call on the store's generator.
+
+        ``out`` is cut into at most ``THREADS`` chunks that start at multiples
+        of ``DRAW_BLOCK`` values.  The caller draws chunk 0 from the store's
+        generator, and one thread per further chunk draws it from a generator
+        set to the chunk's place in the serial stream.  The store's generator
+        then takes the last chunk's end state.
+        """
+        blocks = out.size // DRAW_BLOCK
+        starts = sorted({blocks * i // THREADS * DRAW_BLOCK for i in range(THREADS)})
+        state = self._rng.bit_generator.state
+        rngs = [self._rng] + [np.random.Generator(_philox_at(state, start, self.dtype)) for start in starts[1:]]
+        chunks = [out[a:b] for a, b in zip(starts, starts[1:] + [out.size])]
+
+        def fill(rng: np.random.Generator, chunk: np.ndarray):
+            rng.random(dtype=self.dtype, out=chunk)
+            chunk *= 2 * s
+            chunk -= s
+
+        with ThreadPoolExecutor(len(chunks)) as pool:
+            others = pool.map(fill, rngs[1:], chunks[1:])
+            fill(rngs[0], chunks[0])
+            list(others)  # re-raises a thread's exception
+        self._rng.bit_generator.state = rngs[-1].bit_generator.state
 
     def items(self):
         return list(self._params.items())

@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import tensor as T
 from .data import Dataset, is_json_int, read_json_object
 from .decoders import TaskKind
 from .errors import ConfigError, DomainError, FormatError, NumericError
@@ -28,10 +29,6 @@ ADAM_EPS = 1e-8
 # v3 recorded the blob's sha256; v4 each parameter's sha256 instead; v5 stores
 # each GRU weight block ([w_z | w_r | w_h], its bias, [u_z | u_r]) as one parameter
 CHECKPOINT_FORMAT = "comem-checkpoint-v5"
-
-# threads that run the Adam update and hash checkpoint parameters; two fill a
-# 2-core host, and the result does not depend on the count
-THREADS = 2
 
 
 @dataclass
@@ -61,7 +58,7 @@ ADAM_BLOCK = 1 << 16
 class AdamState:
     """First/second moment buffers keyed by parameter name, plus scratch blocks.
 
-    Each of the ``THREADS`` update threads owns two scratch blocks of the
+    Each of the ``T.THREADS`` update threads owns two scratch blocks of the
     parameters' dtype, which every step reuses.
     """
 
@@ -69,7 +66,7 @@ class AdamState:
         self.step = 0
         self.m = {name: np.zeros(t.data.shape, dtype=t.data.dtype) for name, t in params.items()}
         self.v = {name: np.zeros(t.data.shape, dtype=t.data.dtype) for name, t in params.items()}
-        self._scratch = [np.empty((2, ADAM_BLOCK), dtype=params.dtype) for _ in range(THREADS)]
+        self._scratch = [np.empty((2, ADAM_BLOCK), dtype=params.dtype) for _ in range(T.THREADS)]
 
 
 def adam_step(params: ParameterStore, state: AdamState, lr: float = 0.001):
@@ -79,7 +76,7 @@ def adam_step(params: ParameterStore, state: AdamState, lr: float = 0.001):
     the operation order of ``p -= s * m / (sqrt(v) + eps)`` with ``m``, ``v``
     decayed first and the bias-corrected step size ``s`` rounded once to that
     dtype; gradients are left unchanged.  The ``ADAM_BLOCK``-element blocks of
-    all parameters, in store insertion order, are dealt to ``THREADS``
+    all parameters, in store insertion order, are dealt to ``T.THREADS``
     threads in turn; each element is updated by one thread, so the result
     does not depend on the thread count.  Every parameter is checked, and
     when the global gradient norm is not finite ``NumericError`` is raised,
@@ -106,7 +103,7 @@ def adam_step(params: ParameterStore, state: AdamState, lr: float = 0.001):
 
     def update(lane: int):
         tmp_block, upd_block = state._scratch[lane]
-        for g, m, v, w in blocks[lane::THREADS]:
+        for g, m, v, w in blocks[lane::T.THREADS]:
             m *= ADAM_BETA1
             v *= ADAM_BETA2
             if g is None:
@@ -119,8 +116,8 @@ def adam_step(params: ParameterStore, state: AdamState, lr: float = 0.001):
             upd /= np.add(np.sqrt(v, out=tmp), ADAM_EPS, out=tmp)
             w -= upd
 
-    with ThreadPoolExecutor(THREADS) as pool:
-        list(pool.map(update, range(THREADS)))  # re-raises a thread's exception
+    with ThreadPoolExecutor(T.THREADS) as pool:
+        list(pool.map(update, range(T.THREADS)))  # re-raises a thread's exception
 
 
 # -- checkpoints ---------------------------------------------------------------
@@ -130,7 +127,7 @@ def save_checkpoint(path, model: CoMemoryModel, train_config: TrainConfig, epoch
     """Manifest JSON at ``path`` plus a float32 blob beside it.
 
     The blob is written straight to whichever of ``<name>.0.bin`` and
-    ``<name>.1.bin`` the current manifest does not name, while ``THREADS``
+    ``<name>.1.bin`` the current manifest does not name, while ``T.THREADS``
     threads hash the parameters; the manifest records each one's sha256.  The
     manifest's atomic rename is the one commit, so no rename replaces a blob and
     a save cut short before it leaves the previous checkpoint whole.  Then the
@@ -145,7 +142,7 @@ def save_checkpoint(path, model: CoMemoryModel, train_config: TrainConfig, epoch
         old = None
     blob = path.with_name(own[1] if old == own[0] else own[0])
     entries, digests, offset = [], [], 0
-    with ThreadPoolExecutor(THREADS) as pool, open(blob, "wb") as fh:
+    with ThreadPoolExecutor(T.THREADS) as pool, open(blob, "wb") as fh:
         for name, t in model.store.items():
             raw = np.ascontiguousarray(t.data, dtype="<f4")
             digests.append(pool.submit(_sha256, raw))
@@ -181,7 +178,7 @@ def _write_manifest(path: Path, manifest: dict):
 def load_checkpoint(path) -> tuple[CoMemoryModel, dict]:
     """The model and manifest of a checkpoint whose parameters match their recorded sha256.
 
-    Each parameter is read into its own array, hashed by one of ``THREADS``
+    Each parameter is read into its own array, hashed by one of ``T.THREADS``
     threads while the next is read, and the model is built from those arrays
     without drawing initial weights.
     """
@@ -207,7 +204,7 @@ def load_checkpoint(path) -> tuple[CoMemoryModel, dict]:
         raise FormatError(f"{path}: checkpoint manifest's 'parameters' is not a list")
     values, digests, offset = {}, [], 0
     try:
-        with ThreadPoolExecutor(THREADS) as pool, open(blob_path, "rb") as fh:
+        with ThreadPoolExecutor(T.THREADS) as pool, open(blob_path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
             if size != total:
                 raise FormatError(f"{path}: blob has {size} bytes, manifest says {total}")
@@ -285,10 +282,14 @@ ITEMS_PER_PASS = 64
 
 
 def check_dataset(config: ModelConfig, dataset: Dataset):
-    """``ConfigError`` unless ``dataset`` has ``config``'s task, then its vocabulary and answer vocabulary sizes."""
+    """``ConfigError`` unless ``dataset`` has ``config``'s task, vocabulary sizes, video length and feature widths."""
+    (length, width_a), (_, width_b) = dataset.feature_shapes
     for field, ours, theirs in (("task", config.task.value, dataset.task.value),
                                 ("vocab_size", config.vocab_size, dataset.vocab_size),
-                                ("answer_vocab", config.answer_vocab, dataset.answer_vocab)):
+                                ("answer_vocab", config.answer_vocab, dataset.answer_vocab),
+                                ("resolution", config.resolution, length),
+                                ("input_width_a", config.input_width_a, width_a),
+                                ("input_width_b", config.input_width_b, width_b)):
         if ours != theirs:
             raise ConfigError(f"checkpoint {field} {ours!r} does not match dataset {field} {theirs!r}")
 

@@ -15,7 +15,7 @@ import pytest
 import comem
 import comem.tensor as T
 from comem import cli, errors
-from comem.data import FeatureSequence, write_feature_file
+from comem.data import FeatureSequence, SyntheticSpec, generate_dataset, write_feature_file
 
 CLI = [sys.executable, "-m", "comem.cli"]
 
@@ -183,6 +183,25 @@ def test_checkpoint_on_a_dataset_of_another_vocabulary_is_config_error(workspace
     assert r.returncode == 1
     assert r.stderr.startswith("error: checkpoint vocab_size 43 does not match dataset vocab_size 37"), r.stderr
     assert len(r.stderr.splitlines()) == 1, r.stderr
+    assert not (tmp_path / "x.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "inspect"])
+@pytest.mark.parametrize("spec, mismatch", [({"length": 20}, "resolution 34 does not match dataset resolution 20"),
+                                            ({"d_a": 32}, "input_width_a 64 does not match dataset input_width_a 32")],
+                         ids=["length", "width"])
+def test_checkpoint_on_a_dataset_of_another_length_or_width_is_config_error(workspace, tmp_path, capsys,
+                                                                            command, spec, mismatch):
+    """The frame checkpoint saw 34-frame videos with 64-wide appearance features; the model would run on others."""
+    generate_dataset(SyntheticSpec(seed=21, **spec), 20, tmp_path / "other")
+    if command == "eval":
+        out = ["--dump", str(tmp_path / "x.jsonl")]
+    else:
+        line = (tmp_path / "other" / "qa" / "frame_test.jsonl").read_text().splitlines()[0]
+        out = ["--id", json.loads(line)["id"], "--out", str(tmp_path / "x.jsonl")]
+    args = [command, "--ckpt", str(workspace / "frame.ckpt"), "--data", str(tmp_path / "other"), *out]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == f"error: checkpoint {mismatch}\n"
     assert not (tmp_path / "x.jsonl").exists()
 
 

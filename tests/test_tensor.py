@@ -773,6 +773,61 @@ def test_initial_weights_are_drawn_in_the_store_dtype(shape, block):
     assert w32.dtype == np.float32 and np.abs(w32).max() <= np.float32(bound)
 
 
+_B = T.DRAW_BLOCK
+# odd sizes, and sizes just below, at and above the chunk boundaries of 2 and 3 threads
+_DRAW_SIZES = [21, _B - 1, _B, _B + 1, 2 * _B - 1, 2 * _B, 2 * _B + 1, 3 * _B - 1, 3 * _B, 3 * _B + 1, 6 * _B + 5]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("earlier", [0, 1, 3], ids=lambda n: f"earlier{n}")
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_chunked_draw_equals_one_serial_draw(monkeypatch, threads, earlier, dtype):
+    """Each weight, and the draw after it, equals one ``Generator.random`` call's, whatever the thread count.
+
+    An odd number of earlier float32 values leaves the generator holding a pending uint32 half.  Three
+    threads on two cores, switching every microsecond, must still give the serial bits.
+    """
+    monkeypatch.setattr(T, "THREADS", threads)
+    before = set(threading.enumerate())
+    store, serial = ParameterStore(seed=9, dtype=dtype), _rng(9)
+    if earlier:
+        store.add("earlier", (earlier, 1))
+        serial.random((earlier, 1), dtype=dtype)
+
+    def serial_glorot(n):
+        s = np.dtype(dtype).type(np.sqrt(6.0 / (n + 1)))
+        w = serial.random((n, 1), dtype=dtype)
+        w *= 2 * s
+        w -= s
+        return w.tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for i, n in enumerate(_DRAW_SIZES):
+            assert store.add(f"w{i}", (n, 1)).data.tobytes() == serial_glorot(n), n
+            assert store.add(f"next{i}", (1, 1)).data.tobytes() == serial_glorot(1), n
+    finally:
+        sys.setswitchinterval(interval)
+    assert set(threading.enumerate()) == before
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_philox_at_continues_the_serial_stream(dtype):
+    """From every buffer position, with and without a pending uint32 half, which a float64 draw keeps."""
+    for earlier in range(8):
+        rng = _rng(5)
+        rng.random(earlier, dtype=np.float32)
+        state = rng.bit_generator.state
+        for start in range(9, 30):
+            serial = _rng(5)
+            serial.random(earlier, dtype=np.float32)
+            serial.random(start, dtype=dtype)
+            moved = np.random.Generator(T._philox_at(state, start, dtype))
+            for g in (dtype, np.float32):
+                assert moved.random(7, dtype=g).tobytes() == serial.random(7, dtype=g).tobytes(), (earlier, start)
+
+
 def test_given_values_validate_names_and_shapes():
     s = ParameterStore(values={"w": np.zeros((2, 2)), "extra": np.zeros(1)})
     s.add("w", (2, 2))

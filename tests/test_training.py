@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import comem.data
+import comem.tensor
 from comem.data import Dataset, SyntheticSpec, generate_dataset
 from comem.decoders import TaskKind
 from comem.errors import ConfigError, DomainError, FormatError, NumericError
@@ -162,7 +163,7 @@ def test_adam_in_place_step_matches_reference_expression(dtype):
 
 def _adam_run(threads: int, monkeypatch) -> list[np.ndarray]:
     """Weights and moments after three float32 steps over 15 update blocks, with ``threads`` threads."""
-    monkeypatch.setattr(training, "THREADS", threads)
+    monkeypatch.setattr(comem.tensor, "THREADS", threads)
     store = ParameterStore(seed=6, dtype=np.float32)
     for name, shape in [("a", (5, 65536)), ("unused", (2, 70000)), ("b", (3, 50000)), ("c", (7,))]:
         store.add(name, shape)
@@ -178,7 +179,7 @@ def _adam_run(threads: int, monkeypatch) -> list[np.ndarray]:
 @pytest.mark.parametrize("threads", [1, 5])
 def test_adam_update_does_not_depend_on_the_thread_count(monkeypatch, threads):
     """One thread, or more threads than cores switching every microsecond, give the default's bits."""
-    expected = _adam_run(training.THREADS, monkeypatch)
+    expected = _adam_run(comem.tensor.THREADS, monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -535,6 +536,15 @@ def test_check_dataset_compares_the_task_then_the_vocabularies(data_dir):
                        (dataclasses.replace(cfg, answer_vocab=cfg.answer_vocab - 1), f"answer_vocab {cfg.answer_vocab - 1}")]:
         with pytest.raises(ConfigError, match=f"checkpoint {field} does not match"):
             check_dataset(bad, ds)
+
+
+def test_check_dataset_compares_the_video_length_and_feature_widths(data_dir):
+    ds = Dataset(data_dir, TaskKind.FRAME_QA)
+    cfg = model_config_for(ds, _cfg("frame"), dims=TINY_DIMS)
+    for field in ("resolution", "input_width_a", "input_width_b"):
+        ours = getattr(cfg, field) + 3
+        with pytest.raises(ConfigError, match=f"checkpoint {field} {ours} does not match dataset {field} {ours - 3}$"):
+            check_dataset(dataclasses.replace(cfg, **{field: ours}), ds)
 
 
 @pytest.mark.parametrize("eval_batch", [1, 5, 16])
